@@ -1,18 +1,19 @@
 //! Diagnostics and the JSON artifact.
 //!
-//! The [`AnalysisReport`] round-trips through the vendored `serde_json`
-//! (hand-written `Serialize`/`Deserialize`, like the spec/report chain in
-//! `sim`) so CI can upload `analysis.json` and tooling can diff runs.
+//! The [`AnalysisReport`] round-trips through `serde_json` so CI can upload
+//! `analysis.json` and tooling can diff runs.
 
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 
 /// How bad a finding is. Errors gate CI; warnings are advisory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Severity {
     /// Must be fixed or waived for the run to pass.
+    #[serde(rename = "error")]
     Error,
     /// Reported and recorded, but does not fail the run.
+    #[serde(rename = "warning")]
     Warning,
 }
 
@@ -33,7 +34,8 @@ impl fmt::Display for Severity {
 }
 
 /// One finding, waived or not.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Diagnostic {
     /// Rule that fired (`hotpath-alloc`, `determinism`, …).
     pub rule: String,
@@ -148,70 +150,7 @@ impl AnalysisReport {
     }
 }
 
-impl Serialize for Diagnostic {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("Diagnostic", 7)?;
-        st.serialize_field("rule", &self.rule)?;
-        st.serialize_field("severity", &self.severity.as_str().to_owned())?;
-        st.serialize_field("file", &self.file)?;
-        st.serialize_field("line", &u64::from(self.line))?;
-        st.serialize_field("message", &self.message)?;
-        st.serialize_field("waived", &self.waived)?;
-        st.serialize_field("justification", &self.justification)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for Diagnostic {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = Diagnostic;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a diagnostic object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<Diagnostic, A::Error> {
-                let mut diag = Diagnostic::new("", Severity::Error, "", 0, String::new());
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "rule" => diag.rule = map.next_value()?,
-                        "severity" => {
-                            let text: String = map.next_value()?;
-                            diag.severity = match text.as_str() {
-                                "error" => Severity::Error,
-                                "warning" => Severity::Warning,
-                                other => {
-                                    return Err(de::Error::custom(format_args!(
-                                        "unknown severity {other:?}"
-                                    )))
-                                }
-                            };
-                        }
-                        "file" => diag.file = map.next_value()?,
-                        "line" => {
-                            let line: u64 = map.next_value()?;
-                            diag.line = u32::try_from(line).map_err(|_| {
-                                de::Error::custom(format_args!("line {line} out of range"))
-                            })?;
-                        }
-                        "message" => diag.message = map.next_value()?,
-                        "waived" => diag.waived = map.next_value()?,
-                        "justification" => diag.justification = map.next_value()?,
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown diagnostic field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(diag)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
-}
-
+// Hand-written: writes the computed `errors`/`warnings`/`waived` counts.
 impl Serialize for AnalysisReport {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
@@ -226,6 +165,7 @@ impl Serialize for AnalysisReport {
     }
 }
 
+// Hand-written: skips the computed counts (recomputed, not trusted) instead of rejecting them.
 impl<'de> Deserialize<'de> for AnalysisReport {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct V;

@@ -3,8 +3,8 @@
 //!
 //! Experiments are *data*: a serializable [`ExperimentSpec`] (designs ×
 //! workloads × swept parameters × seeds) executed by a multi-threaded
-//! [`LabRunner`]. The legacy one-off binaries (`fig8`, `validate`, …) remain
-//! as thin wrappers over `pktbuf-lab paper <name>`.
+//! [`LabRunner`]. The paper's figures and tables are regenerated with
+//! `pktbuf-lab paper <name>`.
 //!
 //! ```text
 //! pktbuf-lab run   --spec lab.json [--threads N] [--json out.json] [--csv out.csv]
@@ -17,7 +17,7 @@
 use bench::cli::{
     parse_int, parse_list, parse_sweep, read_spec_text, write_artifact, OutputOptions,
 };
-use serde::{Serialize, Serializer};
+use serde::Serialize;
 use sim::clos::{ClosLabReport, ClosSpec, DispatchChoice, ObsScenario, TransportScenario};
 use sim::fabric::{ArbiterChoice, FabricDesign, FabricLabReport, FabricSpec, FabricWorkload};
 use sim::lab::{ExperimentReport, LabRunner};
@@ -789,27 +789,14 @@ fn clos_smoke_trace(faulted: &ClosLabReport) -> Result<String, String> {
 
 /// One run's slice of the `--faults-json` artifact: enough scenario context
 /// to identify the run, plus its full fault ledger.
-struct ClosFaultRecord<'a> {
+#[derive(Serialize)]
+struct ClosFaultRecord {
     index: usize,
-    experiment: &'a str,
+    experiment: String,
     dispatch: DispatchChoice,
     load_percent: u64,
     seed: u64,
-    ledger: &'a sim::FaultLedger,
-}
-
-impl Serialize for ClosFaultRecord<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosFaultRecord", 6)?;
-        st.serialize_field("index", &self.index)?;
-        st.serialize_field("experiment", &self.experiment)?;
-        st.serialize_field("dispatch", &self.dispatch)?;
-        st.serialize_field("load_percent", &self.load_percent)?;
-        st.serialize_field("seed", &self.seed)?;
-        st.serialize_field("ledger", &self.ledger)?;
-        st.end()
-    }
+    ledger: sim::FaultLedger,
 }
 
 /// The closed-loop transport leg of the `clos --smoke` gate: a 16-port
@@ -868,35 +855,21 @@ fn clos_recovery_fault_smoke_spec() -> ClosSpec {
 /// One paired run's slice of the `--recovery-json` artifact: the fault-free
 /// and faulted transport reports side by side, the faulted run's ledger, and
 /// the measured time-to-recover.
-struct ClosRecoveryRecord<'a> {
+#[derive(Serialize)]
+struct ClosRecoveryRecord {
     index: usize,
     dispatch: DispatchChoice,
     seed: u64,
-    fault_free: Option<&'a TransportReport>,
-    faulted: Option<&'a TransportReport>,
-    ledger: Option<&'a sim::FaultLedger>,
+    fault_free: Option<TransportReport>,
+    faulted: Option<TransportReport>,
+    ledger: Option<sim::FaultLedger>,
     recovery: Option<RecoveryReport>,
-}
-
-impl Serialize for ClosRecoveryRecord<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosRecoveryRecord", 7)?;
-        st.serialize_field("index", &self.index)?;
-        st.serialize_field("dispatch", &self.dispatch)?;
-        st.serialize_field("seed", &self.seed)?;
-        st.serialize_field("fault_free", &self.fault_free)?;
-        st.serialize_field("faulted", &self.faulted)?;
-        st.serialize_field("ledger", &self.ledger)?;
-        st.serialize_field("recovery", &self.recovery)?;
-        st.end()
-    }
 }
 
 /// Renders the recovery leg (fault-free twin + faulted twin, paired run by
 /// run) as the pretty-JSON `--recovery-json` artifact.
 fn clos_recovery_json(healthy: &ClosLabReport, faulted: &ClosLabReport) -> String {
-    let records: Vec<ClosRecoveryRecord<'_>> = faulted
+    let records: Vec<ClosRecoveryRecord> = faulted
         .runs
         .iter()
         .map(|fault_run| {
@@ -908,9 +881,9 @@ fn clos_recovery_json(healthy: &ClosLabReport, faulted: &ClosLabReport) -> Strin
                 index: fault_run.index,
                 dispatch: fault_run.scenario.dispatch,
                 seed: fault_run.scenario.seed,
-                fault_free: twin.and_then(|h| h.report.transport.as_ref()),
-                faulted: fault_run.report.transport.as_ref(),
-                ledger: fault_run.report.faults.as_ref(),
+                fault_free: twin.and_then(|h| h.report.transport.clone()),
+                faulted: fault_run.report.transport.clone(),
+                ledger: fault_run.report.faults.clone(),
                 recovery: twin.and_then(|h| RecoveryReport::measure(&h.report, &fault_run.report)),
             }
         })
@@ -921,13 +894,13 @@ fn clos_recovery_json(healthy: &ClosLabReport, faulted: &ClosLabReport) -> Strin
 /// Renders every faulted run's ledger (across one or two lab reports) as the
 /// pretty-JSON `--faults-json` artifact.
 fn clos_fault_ledgers_json(reports: &[&ClosLabReport]) -> String {
-    let records: Vec<ClosFaultRecord<'_>> = reports
+    let records: Vec<ClosFaultRecord> = reports
         .iter()
         .flat_map(|report| {
             report.runs.iter().filter_map(|run| {
-                run.report.faults.as_ref().map(|ledger| ClosFaultRecord {
+                run.report.faults.clone().map(|ledger| ClosFaultRecord {
                     index: run.index,
-                    experiment: &report.spec.name,
+                    experiment: report.spec.name.clone(),
                     dispatch: run.scenario.dispatch,
                     load_percent: run.scenario.load_percent,
                     seed: run.scenario.seed,

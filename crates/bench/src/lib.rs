@@ -1,7 +1,7 @@
-//! Shared helpers for the experiment binaries and Criterion benches that
+//! Shared helpers for the `pktbuf-lab` binary and the Criterion benches that
 //! regenerate every table and figure of the paper's evaluation.
 //!
-//! | Binary          | Paper artefact | What it prints |
+//! | `pktbuf-lab paper` | Paper artefact | What it prints |
 //! |-----------------|----------------|----------------|
 //! | `dram_only`     | §1 motivation  | peak vs. guaranteed SDRAM bandwidth, 1–32 chips |
 //! | `fig8`          | Figure 8       | RADS h-SRAM access time and area vs. lookahead |

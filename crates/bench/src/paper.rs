@@ -1,9 +1,8 @@
 //! The paper's evaluation artefacts as callable functions.
 //!
 //! Every figure, table and validation experiment lives here exactly once;
-//! the eight legacy binaries (`fig8`, `validate`, …) and the `pktbuf-lab paper`
-//! subcommand are thin wrappers around these functions, so their stdout is
-//! identical however an artefact is invoked.
+//! the `pktbuf-lab paper` subcommand is a thin wrapper around these
+//! functions.
 //!
 //! The slot-level experiments are expressed through the declarative spec
 //! layer ([`sim::spec::ExperimentSpec`] + [`sim::lab::LabRunner`]) where the

@@ -12,10 +12,9 @@
 use crate::geometry::{ArrayPartition, MemoryEstimate};
 use crate::process::ProcessNode;
 use crate::sram::{estimate_sram, SramOrganization};
-use serde::{Deserialize, Serialize};
 
 /// Organisation of a CAM-tagged cell store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CamOrganization {
     /// Number of entries (cells stored).
     pub entries: u64,

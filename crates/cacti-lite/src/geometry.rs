@@ -1,13 +1,11 @@
 //! Array partitioning and the shared estimate type.
 
-use serde::{Deserialize, Serialize};
-
 /// How a memory array is split into sub-arrays.
 ///
 /// Mirrors CACTI's `Ndwl`/`Ndbl` exploration in a simplified form: the array is
 /// cut into `subarrays` equal pieces, each `rows × cols` bits, all accessed in
 /// parallel through a final output multiplexer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayPartition {
     /// Number of identical sub-arrays.
     pub subarrays: u32,
@@ -25,7 +23,7 @@ impl ArrayPartition {
 }
 
 /// Result of an area/timing estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryEstimate {
     /// Access (read) time in nanoseconds.
     pub access_time_ns: f64,

@@ -1,13 +1,11 @@
 //! Technology/process parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Electrical and geometric parameters of a CMOS process node.
 ///
 /// Only the quantities the delay/area model needs are captured. The 0.13 µm
 /// values are calibrated against published CACTI 3.0 runs and datasheets of
 /// contemporary (2003) embedded SRAM macros.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessNode {
     /// Drawn feature size in micrometres.
     pub feature_um: f64,

@@ -2,10 +2,9 @@
 
 use crate::geometry::{candidate_partitions, ArrayPartition, MemoryEstimate};
 use crate::process::ProcessNode;
-use serde::{Deserialize, Serialize};
 
 /// Logical organisation of an SRAM macro to be estimated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SramOrganization {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,

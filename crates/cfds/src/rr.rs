@@ -1,12 +1,11 @@
 //! The Requests Register (RR).
 
 use dram_sim::{BankId, DramRequest};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One entry of the Requests Register: a pending DRAM request together with
 /// the bank it will access and bookkeeping for delay statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RrEntry {
     /// The pending request (queue, block ordinal, read/write).
     pub request: DramRequest,

@@ -1,6 +1,5 @@
 //! Selection of the head-SRAM organisation used by a buffer front end.
 
-use serde::{Deserialize, Serialize};
 use sram_buf::{GlobalCamBuffer, SharedBuffer, UnifiedLinkedListBuffer};
 
 /// Which functional head-SRAM organisation a buffer instantiates.
@@ -8,7 +7,7 @@ use sram_buf::{GlobalCamBuffer, SharedBuffer, UnifiedLinkedListBuffer};
 /// Both uphold the same [`SharedBuffer`] contract; they differ in how they
 /// locate cells internally (and, physically, in area and access time — see the
 /// `cacti-lite` crate and the Figure 8/10 experiments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum HeadSramKind {
     /// Fully associative (queue, order)-tagged store. Robust to arbitrary
     /// out-of-order block arrival, which CFDS with renaming requires.

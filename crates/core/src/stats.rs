@@ -1,9 +1,9 @@
 //! Aggregate statistics of a packet-buffer run.
 
-use serde::{Deserialize, Serialize, Serializer};
+use serde::{Serialize, Serializer};
 
 /// Counters accumulated by a packet buffer over its lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferStats {
     /// Slots simulated.
     pub slots: u64,
@@ -41,8 +41,7 @@ pub struct BufferStats {
     pub max_dss_delay_slots: u64,
 }
 
-// Hand-written so that reports really encode (the vendored serde derive only
-// type-checks). Field order matches the declaration; keep the two in sync.
+// Hand-written: writes the computed trailing `loss_free` key.
 impl Serialize for BufferStats {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;

@@ -9,11 +9,10 @@
 //! fixed row-cycle overhead is amortised over an ever shorter data transfer.
 
 use pktbuf_model::CELL_BYTES;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// SDRAM timing expressed in clock cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SdramTimingCycles {
     /// RAS-to-CAS delay (activate).
     pub t_rcd: u32,
@@ -47,7 +46,7 @@ impl Default for SdramTimingCycles {
 }
 
 /// A single SDRAM chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SdramChip {
     /// Data interface width in bits.
     pub data_width_bits: u32,
@@ -114,7 +113,7 @@ impl fmt::Display for SdramChip {
 
 /// A multi-chip configuration: `num_chips` chips in parallel forming a bus
 /// `num_chips ×` wider.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiChipConfig {
     /// The base chip replicated across the bus.
     pub chip: SdramChip,

@@ -9,7 +9,6 @@
 
 use crate::request::{BankId, GroupId};
 use pktbuf_model::{CfdsConfig, PhysicalQueueId, CELL_BYTES};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -45,7 +44,7 @@ impl fmt::Display for MappingError {
 impl Error for MappingError {}
 
 /// Static parameters of the block-cyclic interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterleavingConfig {
     num_banks: usize,
     banks_per_group: usize,
@@ -124,7 +123,7 @@ impl InterleavingConfig {
 }
 
 /// A fully decoded DRAM address (Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodedAddress {
     /// Group the block lives in.
     pub group: GroupId,
@@ -139,7 +138,7 @@ pub struct DecodedAddress {
 
 /// Maps `(physical queue, block ordinal)` pairs onto banks and linear
 /// addresses according to the block-cyclic interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapper {
     cfg: InterleavingConfig,
     block_bytes_log2: u32,

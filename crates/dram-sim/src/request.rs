@@ -1,14 +1,10 @@
 //! DRAM access requests and bank/group identifiers.
 
 use pktbuf_model::PhysicalQueueId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a DRAM bank (global, 0-based).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BankId(pub u32);
 
 impl BankId {
@@ -29,10 +25,7 @@ impl fmt::Display for BankId {
 }
 
 /// Identifier of a bank group.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GroupId(pub u32);
 
 impl GroupId {
@@ -53,7 +46,7 @@ impl fmt::Display for GroupId {
 }
 
 /// Direction of a DRAM access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// DRAM → head SRAM transfer (replenish on behalf of the h-MMA).
     Read,
@@ -74,7 +67,7 @@ impl fmt::Display for AccessKind {
 ///
 /// `block_ordinal` is the per-queue block sequence number; the address mapper
 /// turns `(queue, block_ordinal)` into a concrete bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramRequest {
     /// Physical queue the block belongs to.
     pub queue: PhysicalQueueId,

@@ -1,9 +1,7 @@
 //! DRAM usage statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate statistics of a [`crate::BankArray`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Number of successfully started accesses.
     pub accesses: u64,

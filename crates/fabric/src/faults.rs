@@ -252,7 +252,8 @@ impl std::error::Error for FaultPlanError {}
 
 /// A deterministic, slot-scheduled list of [`FaultEvent`]s. Serializes as
 /// a bare JSON array of events; an empty plan arms nothing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(transparent)]
 pub struct FaultPlan {
     /// The scheduled events, in plan (= ledger) order.
     pub events: Vec<FaultEvent>,
@@ -557,7 +558,7 @@ impl StageFaults {
 }
 
 /// One fault's accounted impact, as reported in the [`FaultLedger`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultImpact {
     /// Index of the event in the plan (= ledger order).
     pub index: usize,
@@ -583,31 +584,11 @@ pub struct FaultImpact {
     pub slowed_slots: u64,
 }
 
-impl Serialize for FaultImpact {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FaultImpact", 10)?;
-        st.serialize_field("index", &self.index)?;
-        st.serialize_field("fault", &self.fault)?;
-        st.serialize_field("target", &self.target)?;
-        st.serialize_field("start", &self.start)?;
-        st.serialize_field("duration", &self.duration)?;
-        st.serialize_field("refused_cells", &self.refused_cells)?;
-        st.serialize_field("dropped_cells", &self.dropped_cells)?;
-        st.serialize_field("stranded_cells", &self.stranded_cells)?;
-        st.serialize_field("stalled_cell_slots", &self.stalled_cell_slots)?;
-        st.serialize_field("slowed_slots", &self.slowed_slots)?;
-        st.end()
-    }
-}
-
 /// The per-fault accounting attached to a faulted run's report: one
 /// [`FaultImpact`] per plan event plus fabric-wide totals. The conservation
 /// check balances against these totals — see the module docs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultLedger {
-    /// Per-event impact, in plan order.
-    pub events: Vec<FaultImpact>,
     /// Total cells refused at dead external ingress lines.
     pub refused_cells: u64,
     /// Total cells dropped at full link FIFOs.
@@ -618,6 +599,8 @@ pub struct FaultLedger {
     pub stalled_cell_slots: u64,
     /// Total gated-with-backlog slots across slowed outputs.
     pub slowed_slots: u64,
+    /// Per-event impact, in plan order.
+    pub events: Vec<FaultImpact>,
 }
 
 impl FaultLedger {
@@ -652,22 +635,8 @@ impl FaultLedger {
     }
 }
 
-impl Serialize for FaultLedger {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FaultLedger", 6)?;
-        st.serialize_field("refused_cells", &self.refused_cells)?;
-        st.serialize_field("dropped_cells", &self.dropped_cells)?;
-        st.serialize_field("stranded_cells", &self.stranded_cells)?;
-        st.serialize_field("stalled_cell_slots", &self.stalled_cell_slots)?;
-        st.serialize_field("slowed_slots", &self.slowed_slots)?;
-        st.serialize_field("events", &self.events)?;
-        st.end()
-    }
-}
-
-// Hand-written serde: an event is a flat object tagged by its "fault"
-// label; a plan is a bare array of events. Unknown fields are rejected.
+// Hand-written: an internally tagged data enum (a flat object keyed by its "fault" label).
+// A plan is a bare array of events; unknown and duplicate fields are rejected.
 impl Serialize for FaultEvent {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
@@ -703,6 +672,7 @@ impl Serialize for FaultEvent {
     }
 }
 
+// Hand-written: reads the flat "fault"-tagged shape written above.
 impl<'de> Deserialize<'de> for FaultEvent {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct V;
@@ -720,7 +690,18 @@ impl<'de> Deserialize<'de> for FaultEvent {
                 let mut factor: Option<u64> = None;
                 let mut start = 0u64;
                 let mut duration: Option<u64> = None;
+                let keys = [
+                    "fault", "boundary", "switch", "output", "port", "factor", "start", "duration",
+                ];
+                let mut seen = 0u32;
                 while let Some(key) = map.next_key::<String>()? {
+                    let bit = keys.iter().position(|k| *k == key).map_or(0, |i| 1 << i);
+                    if seen & bit != 0 {
+                        return Err(de::Error::custom(format_args!(
+                            "duplicate field `{key}` in FaultEvent"
+                        )));
+                    }
+                    seen |= bit;
                     match key.as_str() {
                         "fault" => fault = Some(map.next_value()?),
                         "boundary" => boundary = Some(map.next_value()?),
@@ -792,20 +773,6 @@ impl<'de> Deserialize<'de> for FaultEvent {
             }
         }
         deserializer.deserialize_any(V)
-    }
-}
-
-impl Serialize for FaultPlan {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.events.serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for FaultPlan {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Ok(FaultPlan {
-            events: Vec::<FaultEvent>::deserialize(deserializer)?,
-        })
     }
 }
 

@@ -3,7 +3,6 @@
 use crate::counters::OccupancyCounters;
 use crate::lookahead::LookaheadRegister;
 use pktbuf_model::LogicalQueueId;
-use serde::{Deserialize, Serialize};
 
 /// A head Memory Management Algorithm: every granularity period it selects the
 /// queue whose SRAM contents should be replenished from DRAM.
@@ -70,7 +69,7 @@ impl HeadMma for Box<dyn HeadMma + Send> {
 
 /// Enumerates the available head-MMA policies (for configuration files and
 /// ablation benchmarks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HeadMmaPolicy {
     /// Earliest Critical Queue First (minimum SRAM, maximum lookahead).
     Ecqf,

@@ -53,7 +53,10 @@ impl CellPayload {
 /// batched into DRAM, read back into the head SRAM and finally granted to the
 /// switch-fabric arbiter. The `(queue, seq)` pair is the identity used by the
 /// verification layer to check FIFO order and zero-miss delivery.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Serialized as `{"queue", "seq", "arrival_slot"}`; the payload is not
+/// encoded and decodes as empty.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Cell {
     /// Logical VOQ this cell belongs to.
     queue: LogicalQueueId,
@@ -62,6 +65,7 @@ pub struct Cell {
     /// Slot at which the cell arrived at the line interface.
     arrival_slot: u64,
     /// Optional payload bytes.
+    #[serde(skip)]
     payload: CellPayload,
 }
 
@@ -132,30 +136,6 @@ impl fmt::Display for Cell {
     }
 }
 
-impl Serialize for Cell {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut s = serializer.serialize_struct("Cell", 3)?;
-        s.serialize_field("queue", &self.queue)?;
-        s.serialize_field("seq", &self.seq)?;
-        s.serialize_field("arrival_slot", &self.arrival_slot)?;
-        s.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for Cell {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        struct Raw {
-            queue: LogicalQueueId,
-            seq: u64,
-            arrival_slot: u64,
-        }
-        let raw = Raw::deserialize(deserializer)?;
-        Ok(Cell::new(raw.queue, raw.seq, raw.arrival_slot))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +174,18 @@ mod tests {
         assert_eq!(c.arrival_slot(), 100);
         assert!(c.payload().is_empty());
         assert_eq!(format!("{c}"), "cell(q=5, seq=42)");
+    }
+
+    #[test]
+    fn cell_round_trips_through_json_with_a_numeric_queue() {
+        let cell = Cell::new(LogicalQueueId::new(3), 7, 11);
+        let json = serde_json::to_string(&cell).unwrap();
+        assert_eq!(json, "{\"queue\":3,\"seq\":7,\"arrival_slot\":11}");
+        assert_eq!(serde_json::from_str::<Cell>(&json).unwrap(), cell);
+        // The payload is not encoded: a payload-carrying cell decodes empty.
+        let with_payload =
+            Cell::with_payload(LogicalQueueId::new(3), 7, 11, CellPayload::from_slice(b"x"));
+        assert_eq!(serde_json::to_string(&with_payload).unwrap(), json);
     }
 
     #[test]

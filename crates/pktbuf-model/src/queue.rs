@@ -23,14 +23,11 @@ pub struct LogicalQueueId(u32);
 ///
 /// Physical queues are statically assigned to DRAM bank groups; the renaming
 /// layer maps logical queues onto (chains of) physical queues.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysicalQueueId(u32);
 
 /// Whether an identifier names a logical or a physical queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueKind {
     /// Scheduler-visible VOQ name.
     Logical,

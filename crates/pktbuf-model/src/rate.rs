@@ -157,15 +157,14 @@ impl FromStr for LineRate {
     }
 }
 
-// Hand-written serde impls (the vendored derive cannot encode enum payloads):
-// a line rate is a JSON string in its `Display` form, and `FromStr` accepts
-// that form back; bare JSON numbers are accepted as Gb/s.
+// Hand-written: a `Display` string, read back by the lenient `FromStr` (numbers as Gb/s).
 impl Serialize for LineRate {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_str(&self.to_string())
     }
 }
 
+// Hand-written: accepts a lenient string or a bare number of Gb/s.
 impl<'de> Deserialize<'de> for LineRate {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct V;

@@ -1,6 +1,5 @@
 //! Time-base types: slots and physical durations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -8,10 +7,7 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// One slot is the transmission time of one cell at the line rate. All state
 /// machines in the workspace advance one slot at a time.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Slot(pub u64);
 
 impl Slot {
@@ -76,8 +72,7 @@ impl fmt::Display for Slot {
 ///
 /// Used by the technology model (the `cacti_lite` crate) and by the conversion between
 /// DRAM timing parameters and slot counts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Nanoseconds(pub f64);
 
 impl Nanoseconds {
@@ -112,8 +107,7 @@ impl fmt::Display for Nanoseconds {
 ///
 /// Thin wrapper distinguishing "a slot length" from other nanosecond
 /// quantities; converts slot counts to wall-clock delays.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct SlotDuration(Nanoseconds);
 
 impl SlotDuration {

@@ -26,7 +26,7 @@ use crate::fabric::{
     FABRIC_HOT_FRACTION,
 };
 use crate::lab::{run_sharded, LabRunner};
-use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
+use crate::scenario::{int, normalize_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::{SpecError, Sweep};
 pub use ::fabric::ClosRunReport;
 use ::fabric::{
@@ -40,9 +40,10 @@ use std::str::FromStr;
 use traffic::{plane_seed, BurstyArrivals, HotspotArrivals, IncastArrivals, UniformArrivals};
 
 /// Which ingress dispatch policy a Clos scenario runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DispatchChoice {
     /// Round-robin spraying over the middle switches (may reorder flows).
+    #[default]
     Spray,
     /// Flow-hash pinning to one middle switch (never reorders).
     FlowHash,
@@ -153,7 +154,8 @@ serde_via_string!(TransportMode, "a transport mode name (sweep, incast)");
 /// with `rads_granularity = 1` — because batched writeback parks sub-batch
 /// tails as permanent residents that a reliable sender would retransmit
 /// forever; [`ClosScenario::validate`] enforces this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct TransportScenario {
     /// Demand pattern of every source.
     pub mode: TransportMode,
@@ -218,59 +220,6 @@ impl TransportScenario {
     }
 }
 
-impl Serialize for TransportScenario {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("TransportScenario", 8)?;
-        st.serialize_field("mode", &self.mode)?;
-        st.serialize_field("incast_target", &self.incast_target)?;
-        st.serialize_field("rto_initial", &self.rto_initial)?;
-        st.serialize_field("rto_cap", &self.rto_cap)?;
-        st.serialize_field("max_retries", &self.max_retries)?;
-        st.serialize_field("cwnd_init", &self.cwnd_init)?;
-        st.serialize_field("cwnd_max", &self.cwnd_max)?;
-        st.serialize_field("goodput_bucket", &self.goodput_bucket)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for TransportScenario {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = TransportScenario;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a transport scenario object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> Result<TransportScenario, A::Error> {
-                let mut t = TransportScenario::default();
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "mode" => t.mode = map.next_value()?,
-                        "incast_target" => t.incast_target = map.next_value()?,
-                        "rto_initial" => t.rto_initial = map.next_value()?,
-                        "rto_cap" => t.rto_cap = map.next_value()?,
-                        "max_retries" => t.max_retries = map.next_value()?,
-                        "cwnd_init" => t.cwnd_init = map.next_value()?,
-                        "cwnd_max" => t.cwnd_max = map.next_value()?,
-                        "goodput_bucket" => t.goodput_bucket = map.next_value()?,
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown transport scenario field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(t)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
-}
-
 /// The observability layer of a Clos scenario: which deterministic probes
 /// ([`obs::ObsConfig`]) the run arms before slot 0. The default arms
 /// nothing, and an all-off scenario leaves the run byte-identical to an
@@ -279,7 +228,8 @@ impl<'de> Deserialize<'de> for TransportScenario {
 /// The flight-recorder flow filter is not an experiment axis — a scenario
 /// either records every flow inside the slot window or none; per-flow
 /// filtering stays a programmatic [`obs::TraceFilter`] concern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ObsScenario {
     /// Arm end-to-end latency histograms (and first-injection latency under
     /// transport).
@@ -345,54 +295,6 @@ impl ObsScenario {
     /// True when no probe is armed (the scenario is then a no-op).
     pub fn is_off(self) -> bool {
         self.to_config().is_off()
-    }
-}
-
-impl Serialize for ObsScenario {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ObsScenario", 7)?;
-        st.serialize_field("latency_hist", &self.latency_hist)?;
-        st.serialize_field("occupancy_hist", &self.occupancy_hist)?;
-        st.serialize_field("series_stride", &self.series_stride)?;
-        st.serialize_field("series_capacity", &self.series_capacity)?;
-        st.serialize_field("trace_capacity", &self.trace_capacity)?;
-        st.serialize_field("trace_from_slot", &self.trace_from_slot)?;
-        st.serialize_field("trace_to_slot", &self.trace_to_slot)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for ObsScenario {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = ObsScenario;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("an observability scenario object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<ObsScenario, A::Error> {
-                let mut o = ObsScenario::default();
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "latency_hist" => o.latency_hist = map.next_value()?,
-                        "occupancy_hist" => o.occupancy_hist = map.next_value()?,
-                        "series_stride" => o.series_stride = map.next_value()?,
-                        "series_capacity" => o.series_capacity = map.next_value()?,
-                        "trace_capacity" => o.trace_capacity = map.next_value()?,
-                        "trace_from_slot" => o.trace_from_slot = map.next_value()?,
-                        "trace_to_slot" => o.trace_to_slot = map.next_value()?,
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown obs scenario field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(o)
-            }
-        }
-        deserializer.deserialize_any(V)
     }
 }
 
@@ -466,60 +368,86 @@ impl std::error::Error for ClosScenarioError {}
 
 /// A fully specified Clos run: one expanded point of a [`ClosSpec`], or a
 /// hand-built one-off.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Serialized as a flat JSON object. When reading, only `radix` is required;
+/// every other field takes its [`ClosScenario::small`] default.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClosScenario {
     /// Radix `N` of each ingress/egress switch; external ports = `r·N`.
     pub radix: usize,
     /// Number `r` of ingress (= egress) switches.
+    #[serde(default = "int::<_, 4>")]
     pub ingress_switches: usize,
     /// Number `m` of middle switches (`1 ≤ m ≤ N`).
+    #[serde(default = "int::<_, 4>")]
     pub middle_switches: usize,
     /// Per-stage buffer design ([`FabricDesign::Mixed`] alternates CFDS and
     /// RADS over the build order).
+    #[serde(default = "rads")]
     pub design: FabricDesign,
     /// External traffic matrix, over `r·N` global destinations.
+    #[serde(default)]
     pub workload: FabricWorkload,
     /// Ingress load-balancing policy.
+    #[serde(default)]
     pub dispatch: DispatchChoice,
     /// Crossbar arbiter of every switch of every stage.
+    #[serde(default)]
     pub arbiter: ArbiterChoice,
     /// iSLIP iterations per slot (`0` = auto).
+    #[serde(default)]
     pub islip_iterations: u64,
     /// Line rate of every port.
+    #[serde(default)]
     pub line_rate: LineRate,
     /// CFDS granularity `b` of CFDS buffers.
+    #[serde(default = "int::<_, 2>")]
     pub granularity: usize,
     /// RADS granularity `B` (all designs).
+    #[serde(default = "int::<_, 8>")]
     pub rads_granularity: usize,
     /// DRAM banks `M` of CFDS buffers.
+    #[serde(default = "int::<_, 16>")]
     pub num_banks: usize,
     /// Offered load per external ingress port, percent of the line rate.
+    #[serde(default = "int::<_, 80>")]
     pub load_percent: u64,
     /// Slots per transmitted cell at each external output (1 = line rate).
+    #[serde(default = "int::<_, 1>")]
     pub egress_period: u64,
     /// Cells (= credits) per inter-stage link FIFO.
+    #[serde(default = "int::<_, 8>")]
     pub link_capacity: usize,
     /// One-way inter-stage link latency, slots.
+    #[serde(default = "int::<_, 1>")]
     pub link_latency: u64,
     /// Slots of the live-arrival phase (the drain runs until delivery).
+    #[serde(default = "int::<_, 3000>")]
     pub arrival_slots: u64,
     /// Base RNG seed; the port `i` of ingress switch `s` seeds its
     /// generator with [`traffic::plane_seed`]`(seed, s, i)`.
+    #[serde(default = "int::<_, 1>")]
     pub seed: u64,
     /// Worker threads of the per-run execution schedule (1 = serial; the
     /// report is byte-identical for any value).
+    #[serde(default = "int::<_, 1>")]
     pub workers: usize,
     /// Configuration knobs applied to every stage buffer.
+    #[serde(default)]
     pub overrides: ConfigOverrides,
     /// Deterministic fault plan armed before slot 0 (empty = fault-free; an
     /// empty plan leaves the run byte-identical to an unarmed one).
+    #[serde(default, skip_serializing_if = "FaultPlan::is_empty")]
     pub faults: FaultPlan,
     /// Closed-loop reliable transport (`None` = open-loop; the run is then
     /// byte-identical to a pre-transport one). When present, the open-loop
     /// `workload`, `load_percent` and `seed` axes are ignored.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub transport: Option<TransportScenario>,
     /// Deterministic probes armed before slot 0 (`None` or all-off leaves
     /// the run byte-identical to an unarmed one).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub obs: Option<ObsScenario>,
 }
 
@@ -862,108 +790,19 @@ enum RunMode {
     Reference,
 }
 
-// Hand-written serde: a scenario is a flat JSON object; only `radix` is
-// required, everything else takes the `small()` defaults.
-impl Serialize for ClosScenario {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosScenario", 21)?;
-        st.serialize_field("radix", &self.radix)?;
-        st.serialize_field("ingress_switches", &self.ingress_switches)?;
-        st.serialize_field("middle_switches", &self.middle_switches)?;
-        st.serialize_field("design", &self.design)?;
-        st.serialize_field("workload", &self.workload)?;
-        st.serialize_field("dispatch", &self.dispatch)?;
-        st.serialize_field("arbiter", &self.arbiter)?;
-        st.serialize_field("islip_iterations", &self.islip_iterations)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("load_percent", &self.load_percent)?;
-        st.serialize_field("egress_period", &self.egress_period)?;
-        st.serialize_field("link_capacity", &self.link_capacity)?;
-        st.serialize_field("link_latency", &self.link_latency)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("seed", &self.seed)?;
-        st.serialize_field("workers", &self.workers)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        if !self.faults.is_empty() {
-            st.serialize_field("faults", &self.faults)?;
-        }
-        if let Some(transport) = &self.transport {
-            st.serialize_field("transport", transport)?;
-        }
-        if let Some(obs) = &self.obs {
-            st.serialize_field("obs", obs)?;
-        }
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for ClosScenario {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = ClosScenario;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a Clos scenario object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> Result<ClosScenario, A::Error> {
-                let mut scenario = ClosScenario::small();
-                let mut saw_radix = false;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "radix" => {
-                            scenario.radix = map.next_value()?;
-                            saw_radix = true;
-                        }
-                        "ingress_switches" => scenario.ingress_switches = map.next_value()?,
-                        "middle_switches" => scenario.middle_switches = map.next_value()?,
-                        "design" => scenario.design = map.next_value()?,
-                        "workload" => scenario.workload = map.next_value()?,
-                        "dispatch" => scenario.dispatch = map.next_value()?,
-                        "arbiter" => scenario.arbiter = map.next_value()?,
-                        "islip_iterations" => scenario.islip_iterations = map.next_value()?,
-                        "line_rate" => scenario.line_rate = map.next_value()?,
-                        "granularity" => scenario.granularity = map.next_value()?,
-                        "rads_granularity" => scenario.rads_granularity = map.next_value()?,
-                        "num_banks" => scenario.num_banks = map.next_value()?,
-                        "load_percent" => scenario.load_percent = map.next_value()?,
-                        "egress_period" => scenario.egress_period = map.next_value()?,
-                        "link_capacity" => scenario.link_capacity = map.next_value()?,
-                        "link_latency" => scenario.link_latency = map.next_value()?,
-                        "arrival_slots" => scenario.arrival_slots = map.next_value()?,
-                        "seed" => scenario.seed = map.next_value()?,
-                        "workers" => scenario.workers = map.next_value()?,
-                        "overrides" => scenario.overrides = map.next_value()?,
-                        "faults" => scenario.faults = map.next_value()?,
-                        "transport" => scenario.transport = Some(map.next_value()?),
-                        "obs" => scenario.obs = Some(map.next_value()?),
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown Clos scenario field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                if !saw_radix {
-                    return Err(de::Error::custom("missing field \"radix\""));
-                }
-                Ok(scenario)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
+/// The [`ClosScenario::small`] design, as a serde field default.
+fn rads() -> FabricDesign {
+    FabricDesign::Fixed(DesignKind::Rads)
 }
 
 /// A declarative, serializable Clos experiment: designs × workloads ×
 /// dispatches × arbiters × swept geometry/provisioning × seeds, expanded
 /// into [`ClosScenario`]s.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// When read, unknown fields are rejected and omitted ones keep the
+/// builder defaults, so a minimal spec file stays minimal.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ClosSpec {
     /// Experiment name (used in reports and file names).
     pub name: String,
@@ -1012,14 +851,28 @@ pub struct ClosSpec {
     /// Fault plan armed in every expanded run (empty = fault-free;
     /// combinations whose geometry the plan does not fit are skipped like
     /// any other invalid point).
+    #[serde(skip_serializing_if = "FaultPlan::is_empty")]
     pub faults: FaultPlan,
     /// Closed-loop transport layered over every expanded run (`None` =
     /// open-loop; combinations without cut-through buffers are skipped like
     /// any other invalid point).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub transport: Option<TransportScenario>,
     /// Deterministic probes armed in every expanded run (`None` or all-off
     /// leaves each run byte-identical to an unarmed one).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub obs: Option<ObsScenario>,
+    /// The constant `"kind": "clos"` tag, written last; a spec file may
+    /// omit it, but any other kind is rejected.
+    kind: ClosSpecKind,
+}
+
+/// The only value of a [`ClosSpec`]'s `kind` tag.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+enum ClosSpecKind {
+    #[default]
+    #[serde(rename = "clos")]
+    Clos,
 }
 
 impl ClosSpec {
@@ -1149,40 +1002,40 @@ pub struct ClosExpansion {
 }
 
 /// Builder for [`ClosSpec`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClosSpecBuilder {
     spec: ClosSpec,
 }
 
-impl Default for ClosSpecBuilder {
+impl Default for ClosSpec {
+    /// The builder's smoke-test defaults (see [`ClosSpec::builder`]).
     fn default() -> Self {
-        ClosSpecBuilder {
-            spec: ClosSpec {
-                name: "clos".to_owned(),
-                designs: vec![FabricDesign::Fixed(DesignKind::Rads)],
-                workloads: vec![FabricWorkload::Uniform],
-                dispatches: vec![DispatchChoice::Spray],
-                arbiters: vec![ArbiterChoice::Islip],
-                line_rate: LineRate::Oc3072,
-                radix: Sweep::Fixed(4),
-                ingress_switches: Sweep::Fixed(4),
-                middle_switches: Sweep::Fixed(4),
-                load_percent: Sweep::Fixed(80),
-                link_capacity: Sweep::Fixed(8),
-                granularity: 2,
-                rads_granularity: 8,
-                num_banks: 16,
-                islip_iterations: 0,
-                egress_period: 1,
-                link_latency: 1,
-                arrival_slots: 3_000,
-                workers: 1,
-                seeds: vec![1],
-                overrides: ConfigOverrides::none(),
-                faults: FaultPlan::none(),
-                transport: None,
-                obs: None,
-            },
+        ClosSpec {
+            name: "clos".to_owned(),
+            designs: vec![FabricDesign::Fixed(DesignKind::Rads)],
+            workloads: vec![FabricWorkload::Uniform],
+            dispatches: vec![DispatchChoice::Spray],
+            arbiters: vec![ArbiterChoice::Islip],
+            line_rate: LineRate::Oc3072,
+            radix: Sweep::Fixed(4),
+            ingress_switches: Sweep::Fixed(4),
+            middle_switches: Sweep::Fixed(4),
+            load_percent: Sweep::Fixed(80),
+            link_capacity: Sweep::Fixed(8),
+            granularity: 2,
+            rads_granularity: 8,
+            num_banks: 16,
+            islip_iterations: 0,
+            egress_period: 1,
+            link_latency: 1,
+            arrival_slots: 3_000,
+            workers: 1,
+            seeds: vec![1],
+            overrides: ConfigOverrides::none(),
+            faults: FaultPlan::none(),
+            transport: None,
+            obs: None,
+            kind: ClosSpecKind::Clos,
         }
     }
 }
@@ -1343,107 +1196,8 @@ impl ClosSpecBuilder {
     }
 }
 
-impl Serialize for ClosSpec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosSpec", 22)?;
-        st.serialize_field("name", &self.name)?;
-        st.serialize_field("designs", &self.designs)?;
-        st.serialize_field("workloads", &self.workloads)?;
-        st.serialize_field("dispatches", &self.dispatches)?;
-        st.serialize_field("arbiters", &self.arbiters)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("radix", &self.radix)?;
-        st.serialize_field("ingress_switches", &self.ingress_switches)?;
-        st.serialize_field("middle_switches", &self.middle_switches)?;
-        st.serialize_field("load_percent", &self.load_percent)?;
-        st.serialize_field("link_capacity", &self.link_capacity)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("islip_iterations", &self.islip_iterations)?;
-        st.serialize_field("egress_period", &self.egress_period)?;
-        st.serialize_field("link_latency", &self.link_latency)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("workers", &self.workers)?;
-        st.serialize_field("seeds", &self.seeds)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        if !self.faults.is_empty() {
-            st.serialize_field("faults", &self.faults)?;
-        }
-        if let Some(transport) = &self.transport {
-            st.serialize_field("transport", transport)?;
-        }
-        if let Some(obs) = &self.obs {
-            st.serialize_field("obs", obs)?;
-        }
-        st.serialize_field("kind", &"clos")?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for ClosSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = ClosSpec;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a Clos-spec object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<ClosSpec, A::Error> {
-                // Unknown fields are rejected; omitted fields keep the
-                // builder defaults, so a minimal spec file stays minimal.
-                let mut spec = ClosSpecBuilder::default().spec;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "name" => spec.name = map.next_value()?,
-                        "designs" => spec.designs = map.next_value()?,
-                        "workloads" => spec.workloads = map.next_value()?,
-                        "dispatches" => spec.dispatches = map.next_value()?,
-                        "arbiters" => spec.arbiters = map.next_value()?,
-                        "line_rate" => spec.line_rate = map.next_value()?,
-                        "radix" => spec.radix = map.next_value()?,
-                        "ingress_switches" => spec.ingress_switches = map.next_value()?,
-                        "middle_switches" => spec.middle_switches = map.next_value()?,
-                        "load_percent" => spec.load_percent = map.next_value()?,
-                        "link_capacity" => spec.link_capacity = map.next_value()?,
-                        "granularity" => spec.granularity = map.next_value()?,
-                        "rads_granularity" => spec.rads_granularity = map.next_value()?,
-                        "num_banks" => spec.num_banks = map.next_value()?,
-                        "islip_iterations" => spec.islip_iterations = map.next_value()?,
-                        "egress_period" => spec.egress_period = map.next_value()?,
-                        "link_latency" => spec.link_latency = map.next_value()?,
-                        "arrival_slots" => spec.arrival_slots = map.next_value()?,
-                        "workers" => spec.workers = map.next_value()?,
-                        "seeds" => spec.seeds = map.next_value()?,
-                        "overrides" => spec.overrides = map.next_value()?,
-                        "faults" => spec.faults = map.next_value()?,
-                        "transport" => spec.transport = Some(map.next_value()?),
-                        "obs" => spec.obs = Some(map.next_value()?),
-                        "kind" => {
-                            let kind: String = map.next_value()?;
-                            if kind != "clos" {
-                                return Err(de::Error::custom(format_args!(
-                                    "not a Clos spec (kind {kind:?})"
-                                )));
-                            }
-                        }
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown Clos spec field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(spec)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
-}
-
 /// One executed Clos run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClosRunRecord {
     /// Index of this run in the spec's expansion order.
     pub index: usize,
@@ -1453,19 +1207,8 @@ pub struct ClosRunRecord {
     pub report: ClosRunReport,
 }
 
-impl Serialize for ClosRunRecord {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosRunRecord", 3)?;
-        st.serialize_field("index", &self.index)?;
-        st.serialize_field("scenario", &self.scenario)?;
-        st.serialize_field("report", &self.report)?;
-        st.end()
-    }
-}
-
 /// Aggregate statistics over every run of a Clos experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ClosAggregate {
     /// Number of runs executed.
     pub runs: u64,
@@ -1495,50 +1238,17 @@ pub struct ClosAggregate {
     pub mean_latency_slots: f64,
 }
 
-impl Serialize for ClosAggregate {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosAggregate", 13)?;
-        st.serialize_field("runs", &self.runs)?;
-        st.serialize_field("zero_loss_runs", &self.zero_loss_runs)?;
-        st.serialize_field("all_zero_loss", &self.all_zero_loss)?;
-        st.serialize_field("conserving_runs", &self.conserving_runs)?;
-        st.serialize_field("all_conserving", &self.all_conserving)?;
-        st.serialize_field("total_arrivals", &self.total_arrivals)?;
-        st.serialize_field("total_delivered", &self.total_delivered)?;
-        st.serialize_field("total_lost_cells", &self.total_lost_cells)?;
-        st.serialize_field("total_reordered_cells", &self.total_reordered_cells)?;
-        st.serialize_field("total_credit_stall_slots", &self.total_credit_stall_slots)?;
-        st.serialize_field("peak_link_depth", &self.peak_link_depth)?;
-        st.serialize_field("max_latency_slots", &self.max_latency_slots)?;
-        st.serialize_field("mean_latency_slots", &self.mean_latency_slots)?;
-        st.end()
-    }
-}
-
 /// The structured result of executing a whole [`ClosSpec`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClosLabReport {
     /// The spec that was executed.
     pub spec: ClosSpec,
     /// Combinations skipped during expansion.
     pub skipped_invalid: usize,
-    /// Per-run results, in expansion order.
-    pub runs: Vec<ClosRunRecord>,
     /// Aggregates over `runs`.
     pub aggregate: ClosAggregate,
-}
-
-impl Serialize for ClosLabReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosLabReport", 4)?;
-        st.serialize_field("spec", &self.spec)?;
-        st.serialize_field("skipped_invalid", &self.skipped_invalid)?;
-        st.serialize_field("aggregate", &self.aggregate)?;
-        st.serialize_field("runs", &self.runs)?;
-        st.end()
-    }
+    /// Per-run results, in expansion order.
+    pub runs: Vec<ClosRunRecord>,
 }
 
 impl ClosLabReport {

@@ -94,8 +94,7 @@ pub fn workload_label(arrivals: &str, requests: &str) -> &'static str {
     label
 }
 
-// Hand-written so that reports really encode (the vendored derive only
-// type-checks). Reports are write-only: there is no Deserialize.
+// Hand-written: writes the computed `grants_per_slot` key. Reports are write-only.
 impl Serialize for SimulationReport {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;

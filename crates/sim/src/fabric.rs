@@ -44,7 +44,7 @@
 //!   register sizing).
 
 use crate::lab::{run_sharded, LabRunner};
-use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
+use crate::scenario::{int, normalize_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::{SpecError, Sweep};
 pub use ::fabric::FabricRunReport;
 use ::fabric::{ArbiterKind, FabricConfig, PortBuffer, VoqSwitch};
@@ -56,9 +56,10 @@ use std::str::FromStr;
 use traffic::{stream_seed, BurstyArrivals, HotspotArrivals, IncastArrivals, UniformArrivals};
 
 /// Which traffic matrix a fabric scenario applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FabricWorkload {
     /// Uniform Bernoulli arrivals over all outputs.
+    #[default]
     Uniform,
     /// A few hot outputs absorb most of every port's traffic.
     Hotspot,
@@ -173,9 +174,10 @@ impl FromStr for FabricDesign {
 }
 
 /// Which crossbar arbiter a fabric scenario runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ArbiterChoice {
     /// iSLIP-style iterative matching.
+    #[default]
     Islip,
     /// Greedy maximal-matching baseline.
     Maximal,
@@ -264,38 +266,55 @@ pub(crate) fn hot_output_count(ports: usize) -> usize {
 
 /// A fully specified fabric run: one expanded point of a [`FabricSpec`], or
 /// a hand-built one-off.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Serialized as a flat JSON object. When reading, only `ports` is required;
+/// every other field takes its [`FabricScenario::small`] default.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FabricScenario {
     /// Number of ingress (= egress) ports; each ingress buffer holds one VOQ
     /// per egress port.
     pub ports: usize,
     /// Per-port buffer design.
+    #[serde(default = "cfds")]
     pub design: FabricDesign,
     /// Traffic matrix.
+    #[serde(default)]
     pub workload: FabricWorkload,
     /// Crossbar arbiter.
+    #[serde(default)]
     pub arbiter: ArbiterChoice,
     /// iSLIP iterations per slot (`0` = auto: `⌈log₂ ports⌉`).
+    #[serde(default)]
     pub islip_iterations: u64,
     /// Line rate of every port.
+    #[serde(default)]
     pub line_rate: LineRate,
     /// CFDS granularity `b` of CFDS ports.
+    #[serde(default = "int::<_, 2>")]
     pub granularity: usize,
     /// RADS granularity `B` (all designs).
+    #[serde(default = "int::<_, 8>")]
     pub rads_granularity: usize,
     /// DRAM banks `M` of CFDS ports.
+    #[serde(default = "int::<_, 16>")]
     pub num_banks: usize,
     /// Offered load per ingress port, in percent of the line rate.
+    #[serde(default = "int::<_, 80>")]
     pub load_percent: u64,
     /// Slots per transmitted cell at each egress port (1 = full line rate).
+    #[serde(default = "int::<_, 1>")]
     pub egress_period: u64,
     /// Slots of the live-arrival phase (the drain runs until delivery).
+    #[serde(default = "int::<_, 4000>")]
     pub arrival_slots: u64,
     /// Base RNG seed; ingress port `p` seeds its generator with
     /// [`traffic::stream_seed`]`(seed, p)` (space multi-seed sweeps by more
     /// than the port count).
+    #[serde(default = "int::<_, 1>")]
     pub seed: u64,
     /// Configuration knobs applied to every port buffer.
+    #[serde(default)]
     pub overrides: ConfigOverrides,
 }
 
@@ -536,84 +555,18 @@ impl FabricScenario {
     }
 }
 
-// Hand-written serde: a scenario is a flat JSON object; only `ports` is
-// required, everything else takes the `small()` defaults (with design,
-// workload and sizing defaults documented there).
-impl Serialize for FabricScenario {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricScenario", 14)?;
-        st.serialize_field("ports", &self.ports)?;
-        st.serialize_field("design", &self.design)?;
-        st.serialize_field("workload", &self.workload)?;
-        st.serialize_field("arbiter", &self.arbiter)?;
-        st.serialize_field("islip_iterations", &self.islip_iterations)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("load_percent", &self.load_percent)?;
-        st.serialize_field("egress_period", &self.egress_period)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("seed", &self.seed)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for FabricScenario {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = FabricScenario;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a fabric scenario object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> Result<FabricScenario, A::Error> {
-                let mut scenario = FabricScenario::small();
-                let mut saw_ports = false;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "ports" => {
-                            scenario.ports = map.next_value()?;
-                            saw_ports = true;
-                        }
-                        "design" => scenario.design = map.next_value()?,
-                        "workload" => scenario.workload = map.next_value()?,
-                        "arbiter" => scenario.arbiter = map.next_value()?,
-                        "islip_iterations" => scenario.islip_iterations = map.next_value()?,
-                        "line_rate" => scenario.line_rate = map.next_value()?,
-                        "granularity" => scenario.granularity = map.next_value()?,
-                        "rads_granularity" => scenario.rads_granularity = map.next_value()?,
-                        "num_banks" => scenario.num_banks = map.next_value()?,
-                        "load_percent" => scenario.load_percent = map.next_value()?,
-                        "egress_period" => scenario.egress_period = map.next_value()?,
-                        "arrival_slots" => scenario.arrival_slots = map.next_value()?,
-                        "seed" => scenario.seed = map.next_value()?,
-                        "overrides" => scenario.overrides = map.next_value()?,
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown fabric scenario field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                if !saw_ports {
-                    return Err(de::Error::custom("missing field \"ports\""));
-                }
-                Ok(scenario)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
+/// The [`FabricScenario::small`] design, as a serde field default.
+fn cfds() -> FabricDesign {
+    FabricDesign::Fixed(DesignKind::Cfds)
 }
 
 /// A declarative, serializable fabric experiment: designs × workloads ×
 /// arbiters × swept parameters × seeds, expanded into [`FabricScenario`]s.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// When read, unknown fields are rejected and omitted ones keep the
+/// builder defaults, so a minimal spec file stays minimal.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct FabricSpec {
     /// Experiment name (used in reports and file names).
     pub name: String,
@@ -645,6 +598,17 @@ pub struct FabricSpec {
     pub seeds: Vec<u64>,
     /// Configuration knobs applied to every port buffer.
     pub overrides: ConfigOverrides,
+    /// The constant `"kind": "fabric"` tag, written last; a spec file may
+    /// omit it, but any other kind is rejected.
+    kind: FabricSpecKind,
+}
+
+/// The only value of a [`FabricSpec`]'s `kind` tag.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+enum FabricSpecKind {
+    #[default]
+    #[serde(rename = "fabric")]
+    Fabric,
 }
 
 impl FabricSpec {
@@ -769,31 +733,31 @@ pub struct FabricExpansion {
 }
 
 /// Builder for [`FabricSpec`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FabricSpecBuilder {
     spec: FabricSpec,
 }
 
-impl Default for FabricSpecBuilder {
+impl Default for FabricSpec {
+    /// The builder's smoke-test defaults (see [`FabricSpec::builder`]).
     fn default() -> Self {
-        FabricSpecBuilder {
-            spec: FabricSpec {
-                name: "fabric".to_owned(),
-                designs: vec![FabricDesign::Fixed(DesignKind::Cfds)],
-                workloads: vec![FabricWorkload::Uniform],
-                arbiters: vec![ArbiterChoice::Islip],
-                line_rate: LineRate::Oc3072,
-                ports: Sweep::Fixed(8),
-                load_percent: Sweep::Fixed(90),
-                granularity: Sweep::Fixed(4),
-                rads_granularity: Sweep::Fixed(16),
-                num_banks: Sweep::Fixed(64),
-                islip_iterations: 0,
-                egress_period: 1,
-                arrival_slots: 10_000,
-                seeds: vec![1],
-                overrides: ConfigOverrides::none(),
-            },
+        FabricSpec {
+            name: "fabric".to_owned(),
+            designs: vec![FabricDesign::Fixed(DesignKind::Cfds)],
+            workloads: vec![FabricWorkload::Uniform],
+            arbiters: vec![ArbiterChoice::Islip],
+            line_rate: LineRate::Oc3072,
+            ports: Sweep::Fixed(8),
+            load_percent: Sweep::Fixed(90),
+            granularity: Sweep::Fixed(4),
+            rads_granularity: Sweep::Fixed(16),
+            num_banks: Sweep::Fixed(64),
+            islip_iterations: 0,
+            egress_period: 1,
+            arrival_slots: 10_000,
+            seeds: vec![1],
+            overrides: ConfigOverrides::none(),
+            kind: FabricSpecKind::Fabric,
         }
     }
 }
@@ -900,83 +864,8 @@ impl FabricSpecBuilder {
     }
 }
 
-impl Serialize for FabricSpec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricSpec", 16)?;
-        st.serialize_field("name", &self.name)?;
-        st.serialize_field("designs", &self.designs)?;
-        st.serialize_field("workloads", &self.workloads)?;
-        st.serialize_field("arbiters", &self.arbiters)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("ports", &self.ports)?;
-        st.serialize_field("load_percent", &self.load_percent)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("islip_iterations", &self.islip_iterations)?;
-        st.serialize_field("egress_period", &self.egress_period)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("seeds", &self.seeds)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        st.serialize_field("kind", &"fabric")?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for FabricSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = FabricSpec;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a fabric-spec object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<FabricSpec, A::Error> {
-                // Unknown fields are rejected; omitted fields keep the
-                // builder defaults, so a minimal spec file stays minimal.
-                let mut spec = FabricSpecBuilder::default().spec;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "name" => spec.name = map.next_value()?,
-                        "designs" => spec.designs = map.next_value()?,
-                        "workloads" => spec.workloads = map.next_value()?,
-                        "arbiters" => spec.arbiters = map.next_value()?,
-                        "line_rate" => spec.line_rate = map.next_value()?,
-                        "ports" => spec.ports = map.next_value()?,
-                        "load_percent" => spec.load_percent = map.next_value()?,
-                        "granularity" => spec.granularity = map.next_value()?,
-                        "rads_granularity" => spec.rads_granularity = map.next_value()?,
-                        "num_banks" => spec.num_banks = map.next_value()?,
-                        "islip_iterations" => spec.islip_iterations = map.next_value()?,
-                        "egress_period" => spec.egress_period = map.next_value()?,
-                        "arrival_slots" => spec.arrival_slots = map.next_value()?,
-                        "seeds" => spec.seeds = map.next_value()?,
-                        "overrides" => spec.overrides = map.next_value()?,
-                        "kind" => {
-                            let kind: String = map.next_value()?;
-                            if kind != "fabric" {
-                                return Err(de::Error::custom(format_args!(
-                                    "not a fabric spec (kind {kind:?})"
-                                )));
-                            }
-                        }
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown fabric spec field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(spec)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
-}
-
 /// One executed fabric run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FabricRunRecord {
     /// Index of this run in the spec's expansion order.
     pub index: usize,
@@ -986,19 +875,8 @@ pub struct FabricRunRecord {
     pub report: FabricRunReport,
 }
 
-impl Serialize for FabricRunRecord {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricRunRecord", 3)?;
-        st.serialize_field("index", &self.index)?;
-        st.serialize_field("scenario", &self.scenario)?;
-        st.serialize_field("report", &self.report)?;
-        st.end()
-    }
-}
-
 /// Aggregate statistics over every run of a fabric experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct FabricAggregate {
     /// Number of runs executed.
     pub runs: u64,
@@ -1024,48 +902,17 @@ pub struct FabricAggregate {
     pub peak_egress_depth: u64,
 }
 
-impl Serialize for FabricAggregate {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricAggregate", 11)?;
-        st.serialize_field("runs", &self.runs)?;
-        st.serialize_field("zero_loss_runs", &self.zero_loss_runs)?;
-        st.serialize_field("all_zero_loss", &self.all_zero_loss)?;
-        st.serialize_field("total_arrivals", &self.total_arrivals)?;
-        st.serialize_field("total_transmitted", &self.total_transmitted)?;
-        st.serialize_field("total_lost_cells", &self.total_lost_cells)?;
-        st.serialize_field("total_resident_cells", &self.total_resident_cells)?;
-        st.serialize_field("mean_crossbar_utilization", &self.mean_crossbar_utilization)?;
-        st.serialize_field("min_crossbar_utilization", &self.min_crossbar_utilization)?;
-        st.serialize_field("max_latency_slots", &self.max_latency_slots)?;
-        st.serialize_field("peak_egress_depth", &self.peak_egress_depth)?;
-        st.end()
-    }
-}
-
 /// The structured result of executing a whole [`FabricSpec`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FabricLabReport {
     /// The spec that was executed.
     pub spec: FabricSpec,
     /// Combinations skipped during expansion.
     pub skipped_invalid: usize,
-    /// Per-run results, in expansion order.
-    pub runs: Vec<FabricRunRecord>,
     /// Aggregates over `runs`.
     pub aggregate: FabricAggregate,
-}
-
-impl Serialize for FabricLabReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricLabReport", 4)?;
-        st.serialize_field("spec", &self.spec)?;
-        st.serialize_field("skipped_invalid", &self.skipped_invalid)?;
-        st.serialize_field("aggregate", &self.aggregate)?;
-        st.serialize_field("runs", &self.runs)?;
-        st.end()
-    }
+    /// Per-run results, in expansion order.
+    pub runs: Vec<FabricRunRecord>,
 }
 
 impl FabricLabReport {

@@ -221,9 +221,8 @@ impl FromStr for Sweep {
     }
 }
 
-// Serde: a sweep is a JSON number (fixed), array (list), object
-// (linear/geometric, told apart by their "step"/"factor" key), or a string in
-// the CLI syntax.
+// Hand-written: an untagged enum. A sweep is a JSON number (fixed), array (list), object
+// (linear/geometric, told apart by their "step"/"factor" key), or a CLI-syntax string.
 impl Serialize for Sweep {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
@@ -248,6 +247,7 @@ impl Serialize for Sweep {
     }
 }
 
+// Hand-written: reads every untagged shape listed above.
 impl<'de> Deserialize<'de> for Sweep {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct V;
@@ -271,7 +271,16 @@ impl<'de> Deserialize<'de> for Sweep {
             }
             fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<Sweep, A::Error> {
                 let (mut start, mut end, mut step, mut factor) = (None, None, None, None);
+                let keys = ["start", "end", "step", "factor"];
+                let mut seen = 0u32;
                 while let Some(key) = map.next_key::<String>()? {
+                    let bit = keys.iter().position(|k| *k == key).map_or(0, |i| 1 << i);
+                    if seen & bit != 0 {
+                        return Err(de::Error::custom(format_args!(
+                            "duplicate field `{key}` in Sweep"
+                        )));
+                    }
+                    seen |= bit;
                     match key.as_str() {
                         "start" => start = Some(map.next_value()?),
                         "end" => end = Some(map.next_value()?),
@@ -303,7 +312,13 @@ impl<'de> Deserialize<'de> for Sweep {
 
 /// A declarative, serializable experiment: designs × workloads × swept
 /// parameters × seeds, expanded into [`Scenario`]s.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// When read, unknown fields are rejected and omitted ones keep the
+/// builder defaults, so a minimal spec file stays minimal; read through
+/// [`ExperimentSpec::from_json`], a preload spec that never mentions
+/// `arrival_slots` also drops that field's live-arrival default.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ExperimentSpec {
     /// Experiment name (used in reports and file names).
     pub name: String,
@@ -435,7 +450,20 @@ impl ExperimentSpec {
     /// Returns [`SpecError::Json`] on malformed JSON or unknown/ill-typed
     /// fields.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        serde_json::from_str(text).map_err(|e| SpecError::Json(e.to_string()))
+        let json = |e: serde_json::Error| SpecError::Json(e.to_string());
+        let value: serde_json::Value = serde_json::from_str(text).map_err(json)?;
+        let arrivals_written = value
+            .as_object()
+            .is_some_and(|map| map.get("arrival_slots").is_some());
+        let mut spec: ExperimentSpec = serde_json::from_value(value).map_err(json)?;
+        // A preload spec that never mentioned live arrivals drops the
+        // defaulted arrival_slots; an *explicitly written* nonzero value is
+        // kept as-is, so expand() reports the conflict instead of a silent,
+        // value-dependent rewrite.
+        if spec.preload_cells_per_queue > 0 && !arrivals_written {
+            spec.arrival_slots = 0;
+        }
+        Ok(spec)
     }
 }
 
@@ -449,29 +477,28 @@ pub struct Expansion {
 }
 
 /// Builder for [`ExperimentSpec`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentSpecBuilder {
     spec: ExperimentSpec,
 }
 
-impl Default for ExperimentSpecBuilder {
+impl Default for ExperimentSpec {
+    /// The builder's smoke-test defaults (see [`ExperimentSpec::builder`]).
     fn default() -> Self {
-        ExperimentSpecBuilder {
-            spec: ExperimentSpec {
-                name: "experiment".to_owned(),
-                designs: vec![DesignKind::Cfds],
-                workloads: vec![Workload::AdversarialRoundRobin],
-                line_rate: LineRate::Oc3072,
-                num_queues: Sweep::Fixed(32),
-                granularity: Sweep::Fixed(4),
-                rads_granularity: Sweep::Fixed(16),
-                num_banks: Sweep::Fixed(64),
-                preload_cells_per_queue: 0,
-                arrival_slots: 10_000,
-                seeds: vec![1],
-                record_grants: false,
-                overrides: ConfigOverrides::none(),
-            },
+        ExperimentSpec {
+            name: "experiment".to_owned(),
+            designs: vec![DesignKind::Cfds],
+            workloads: vec![Workload::AdversarialRoundRobin],
+            line_rate: LineRate::Oc3072,
+            num_queues: Sweep::Fixed(32),
+            granularity: Sweep::Fixed(4),
+            rads_granularity: Sweep::Fixed(16),
+            num_banks: Sweep::Fixed(64),
+            preload_cells_per_queue: 0,
+            arrival_slots: 10_000,
+            seeds: vec![1],
+            record_grants: false,
+            overrides: ConfigOverrides::none(),
         }
     }
 }
@@ -566,84 +593,6 @@ impl ExperimentSpecBuilder {
     pub fn build(self) -> Result<ExperimentSpec, SpecError> {
         self.spec.expand()?;
         Ok(self.spec)
-    }
-}
-
-impl Serialize for ExperimentSpec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ExperimentSpec", 13)?;
-        st.serialize_field("name", &self.name)?;
-        st.serialize_field("designs", &self.designs)?;
-        st.serialize_field("workloads", &self.workloads)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("num_queues", &self.num_queues)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("preload_cells_per_queue", &self.preload_cells_per_queue)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("seeds", &self.seeds)?;
-        st.serialize_field("record_grants", &self.record_grants)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for ExperimentSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = ExperimentSpec;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("an experiment-spec object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> Result<ExperimentSpec, A::Error> {
-                // Unknown fields are rejected; omitted fields keep the
-                // builder defaults, so a minimal spec file stays minimal.
-                let mut spec = ExperimentSpecBuilder::default().spec;
-                let mut arrival_slots_written = false;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "name" => spec.name = map.next_value()?,
-                        "designs" => spec.designs = map.next_value()?,
-                        "workloads" => spec.workloads = map.next_value()?,
-                        "line_rate" => spec.line_rate = map.next_value()?,
-                        "num_queues" => spec.num_queues = map.next_value()?,
-                        "granularity" => spec.granularity = map.next_value()?,
-                        "rads_granularity" => spec.rads_granularity = map.next_value()?,
-                        "num_banks" => spec.num_banks = map.next_value()?,
-                        "preload_cells_per_queue" => {
-                            spec.preload_cells_per_queue = map.next_value()?;
-                        }
-                        "arrival_slots" => {
-                            spec.arrival_slots = map.next_value()?;
-                            arrival_slots_written = true;
-                        }
-                        "seeds" => spec.seeds = map.next_value()?,
-                        "record_grants" => spec.record_grants = map.next_value()?,
-                        "overrides" => spec.overrides = map.next_value()?,
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown spec field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                // A preload spec that never mentioned live arrivals drops the
-                // defaulted arrival_slots; an *explicitly written* nonzero
-                // value is kept as-is, so expand() reports the conflict
-                // instead of a silent, value-dependent rewrite.
-                if spec.preload_cells_per_queue > 0 && !arrival_slots_written {
-                    spec.arrival_slots = 0;
-                }
-                Ok(spec)
-            }
-        }
-        deserializer.deserialize_any(V)
     }
 }
 

@@ -9,11 +9,10 @@ use cacti_lite::{estimate_cam, estimate_sram, CamOrganization, ProcessNode, Sram
 use cfds::sizing as cfds_sizing;
 use mma::sizing as rads_sizing;
 use pktbuf_model::{CfdsConfig, LineRate, CELL_BYTES};
-use serde::{Deserialize, Serialize};
 use sram_buf::{SramImplKind, SramImplSpec};
 
 /// Physical cost of one SRAM buffer implementation at a given capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramPoint {
     /// Implementation evaluated.
     pub kind: SramImplKind,
@@ -72,7 +71,7 @@ pub fn evaluate_sram_impl(
 
 /// One point of the Figure 8 / Figure 10 curves: a (design, lookahead)
 /// combination evaluated across SRAM implementations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DesignPoint {
     /// Design label ("RADS" or "CFDS").
     pub design: String,

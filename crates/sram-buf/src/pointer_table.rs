@@ -1,9 +1,7 @@
 //! Head/tail pointer table used by the unified linked-list buffer.
 
-use serde::{Deserialize, Serialize};
-
 /// Head and tail pointers of one linked list, plus its length.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ListPointers {
     head: Option<u32>,
     tail: Option<u32>,
@@ -15,7 +13,7 @@ struct ListPointers {
 /// In hardware this is the small two-port direct-mapped structure described in
 /// §7.1 ("another direct-mapped structure that stores the head and tail
 /// pointers for each of the queues").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointerTable {
     lists: Vec<ListPointers>,
 }

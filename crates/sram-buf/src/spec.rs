@@ -1,9 +1,7 @@
 //! Physical-implementation descriptors used to feed the technology model.
 
-use serde::{Deserialize, Serialize};
-
 /// The SRAM buffer organisations evaluated by the paper (§7.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SramImplKind {
     /// Fully associative store searched by (queue, order) tag. Fastest access,
     /// largest area.
@@ -39,7 +37,7 @@ impl SramImplKind {
 
 /// Parameters describing the physical structure to estimate for a given
 /// organisation and capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SramImplSpec {
     /// Organisation.
     pub kind: SramImplKind,

@@ -239,6 +239,25 @@ mod tests {
     use super::*;
 
     #[test]
+    fn traces_round_trip_through_json() {
+        let mut trace = RecordedTrace::new();
+        trace.push(Some(2), None);
+        trace.push(None, Some(0));
+        let json = serde_json::to_string(&trace).unwrap();
+        assert_eq!(json, "{\"arrivals\":[2,null],\"requests\":[null,0]}");
+        assert_eq!(serde_json::from_str::<RecordedTrace>(&json).unwrap(), trace);
+
+        let mut matrix = MatrixTrace::new(2);
+        matrix.record_slot(&[Some((1, 0)), None]);
+        matrix.record_slot(&[None, Some((0, 5))]);
+        let json = serde_json::to_string(&matrix).unwrap();
+        assert_eq!(json, "{\"arrivals\":[[[1,0],null],[null,[0,5]]]}");
+        let back: MatrixTrace = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, matrix);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
     fn trace_records_and_replays_arrivals() {
         let mut trace = RecordedTrace::new();
         trace.push(Some(1), None);
