@@ -356,7 +356,7 @@ pub fn validate() -> (ExperimentReport, ExperimentReport) {
     }
     println!("{}", table.render());
     println!("Every row must report zero misses, drops and conflicts (the DRAM-only baseline,");
-    println!("by contrast, misses heavily — see the `dram_only` binary).");
+    println!("by contrast, misses heavily — see `pktbuf-lab paper dram_only`).");
     (live, preloaded)
 }
 

@@ -24,6 +24,14 @@
 //!   port (the arbiter is unobservable on matchless slots by construction);
 //! * the drain tail terminates through the same quiescence probes.
 //!
+//! Within a slot the arbitration barrier itself is word-parallel: the
+//! arbiter probes each input's VOQ occupancy once per output, in one
+//! sequential pass per input, into `u64` request bitsets, and runs every
+//! grant, accept and maximal-matching pick as a masked first-set-bit search
+//! over those words (see [`crate::CrossbarArbiter`]). An iSLIP iteration
+//! costs `O(N·⌈N/64⌉)` word operations, which leaves the `N²` occupancy
+//! probes, made once per slot, the one quadratic term of the arbitration.
+//!
 //! [`VoqSwitch::run_reference`] is the skip-free per-slot reference; the
 //! differential tests pin the two paths bit-identical.
 
@@ -619,26 +627,30 @@ mod tests {
 
     #[test]
     fn chunked_run_matches_the_reference_engine() {
-        // Long idle gaps make most chunks pure-idle, exercising the
-        // fast-forward against the skip-free reference.
-        for arbiter in [ArbiterKind::Islip { iterations: 0 }, ArbiterKind::Maximal] {
-            let ports = 3;
-            let config = FabricConfig {
-                ports,
-                egress_period: 2,
-                arbiter,
-            };
-            let generators = |_| -> Vec<BurstyArrivals> {
-                (0..ports)
-                    .map(|p| BurstyArrivals::new(ports, 12.0, 700.0, stream_seed(5, p as u64)))
-                    .collect()
-            };
-            let mut fast = VoqSwitch::new(config, rads_ports(ports));
-            let fast_report = fast.run(&mut generators(()), 6_000);
-            let mut reference = VoqSwitch::new(config, rads_ports(ports));
-            let reference_report = reference.run_reference(&mut generators(()), 6_000);
-            assert_eq!(fast_report, reference_report, "{arbiter:?}");
-            assert!(fast_report.zero_loss);
+        // 3 ports: long idle gaps make most chunks pure-idle, exercising the
+        // fast-forward against the skip-free reference. 72 ports: a short
+        // busy run whose arbiter bitsets span two 64-bit words per row.
+        for (ports, mean_idle, slots) in [(3, 700.0, 6_000), (72, 40.0, 800)] {
+            for arbiter in [ArbiterKind::Islip { iterations: 0 }, ArbiterKind::Maximal] {
+                let config = FabricConfig {
+                    ports,
+                    egress_period: 2,
+                    arbiter,
+                };
+                let generators = |_| -> Vec<BurstyArrivals> {
+                    (0..ports)
+                        .map(|p| {
+                            BurstyArrivals::new(ports, 12.0, mean_idle, stream_seed(5, p as u64))
+                        })
+                        .collect()
+                };
+                let mut fast = VoqSwitch::new(config, rads_ports(ports));
+                let fast_report = fast.run(&mut generators(()), slots);
+                let mut reference = VoqSwitch::new(config, rads_ports(ports));
+                let reference_report = reference.run_reference(&mut generators(()), slots);
+                assert_eq!(fast_report, reference_report, "{ports} ports, {arbiter:?}");
+                assert!(fast_report.zero_loss);
+            }
         }
     }
 

@@ -10,8 +10,11 @@
 //! phase during which the allocation counter must not move. The workload
 //! mixes live arrivals with a round-robin drain so every subsystem — tail
 //! arena, writeback, DRAM scheduler, head SRAM, grants — stays active while
-//! counting.
+//! counting. The crossbar arbiter that couples a fabric's ports is held to
+//! the same bar: a warmed-up `CrossbarArbiter::schedule` loop must not
+//! allocate either.
 
+use fabric::{ArbiterKind, CrossbarArbiter};
 use pktbuf::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
 use pktbuf_model::{Cell, CfdsConfig, DramTiming, LineRate, LogicalQueueId, RadsConfig};
 use sim::SimulationEngine;
@@ -121,6 +124,59 @@ fn assert_steady_state_alloc_free(
     }
 }
 
+/// A fixed pseudo-random request matrix per slot at ~95% density, computed
+/// on the fly (SplitMix64 finaliser over `(slot, i, j)`) so the probe itself
+/// allocates nothing.
+fn dense_request(slot: u64, i: usize, j: usize) -> bool {
+    let mut z = slot
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(((i as u64) << 32) | j as u64);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    !(z ^ (z >> 31)).is_multiple_of(20)
+}
+
+/// Drives a warmed-up crossbar arbiter of `ports` ports and asserts its
+/// `schedule` never allocates: every bitset and pointer is sized in `new`.
+fn assert_arbiter_alloc_free(kind: ArbiterKind, ports: usize) {
+    let mut arbiter = CrossbarArbiter::new(kind, ports);
+    let mut ready = vec![true; ports];
+    let mut match_in = vec![None; ports];
+    let mut match_out = vec![None; ports];
+    let mut run = |slots: std::ops::Range<u64>| {
+        let mut matched = 0;
+        for slot in slots {
+            for (j, r) in ready.iter_mut().enumerate() {
+                *r = !(slot + j as u64).is_multiple_of(7);
+            }
+            matched += arbiter.schedule(
+                slot,
+                |i, j| dense_request(slot, i, j),
+                &ready,
+                &mut match_in,
+                &mut match_out,
+            );
+        }
+        matched
+    };
+    run(0..200);
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let matched = run(200..2_200);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "{kind:?} arbiter at {ports} ports allocated {} times over 2000 slots",
+        after - before
+    );
+    assert!(
+        matched > 0,
+        "{kind:?} arbiter at {ports} ports matched nothing"
+    );
+}
+
 /// One test function (not three): integration tests run in threads, and a
 /// second concurrently-running test would pollute the global counter.
 #[test]
@@ -191,4 +247,11 @@ fn steady_state_slot_loop_is_allocation_free() {
     assert_eq!(report.workload, "round-robin+adversarial-round-robin");
     assert_eq!(report.design, "RADS");
     assert!(report.grant_log.is_none());
+
+    // The crossbar arbiter that couples a fabric's ports, on one bitset
+    // word (32 ports) and across a word boundary (72 ports).
+    for ports in [32, 72] {
+        assert_arbiter_alloc_free(ArbiterKind::Islip { iterations: 0 }, ports);
+        assert_arbiter_alloc_free(ArbiterKind::Maximal, ports);
+    }
 }
