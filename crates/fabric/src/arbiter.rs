@@ -104,10 +104,11 @@ pub struct CrossbarArbiter {
     /// rows written in earlier iterations belong to matched inputs, which
     /// are never read again.
     grants: Vec<u64>,
-    /// Scratch: the inputs holding at least one grant this iteration;
+    /// Scratch: the inputs holding at least one grant this iteration, so
+    /// the accept step visits only those rather than every free input;
     /// all-zero between iterations, as the accept step takes every word.
     granted_inputs: Vec<u64>,
-    /// Scratch: the still-unmatched inputs.
+    /// Scratch: the still-unmatched inputs (iSLIP).
     free_in: Vec<u64>,
     /// Scratch: the still-unmatched outputs with an egress credit.
     free_out: Vec<u64>,
@@ -189,7 +190,8 @@ impl CrossbarArbiter {
     }
 
     /// Snapshots the slot's request matrix and ready outputs into the
-    /// bitset scratch; every input starts free.
+    /// bitset scratch; for iSLIP also the transpose, and every input starts
+    /// free.
     fn load<F>(&mut self, eligible: F, output_ready: &[bool])
     where
         F: Fn(usize, usize) -> bool,
@@ -203,11 +205,11 @@ impl CrossbarArbiter {
         for (w, word) in self.free_out.iter_mut().enumerate() {
             *word = pack(w, n, |j| output_ready[j]);
         }
+        if self.kind == ArbiterKind::Maximal {
+            return;
+        }
         for (w, word) in self.free_in.iter_mut().enumerate() {
             *word = pack(w, n, |_| true);
-        }
-        if self.cols.is_empty() {
-            return;
         }
         self.cols.fill(0);
         for (i, row) in self.rows.chunks_exact(words).enumerate() {

@@ -24,13 +24,10 @@
 //!   port (the arbiter is unobservable on matchless slots by construction);
 //! * the drain tail terminates through the same quiescence probes.
 //!
-//! Within a slot the arbitration barrier itself is word-parallel: the
-//! arbiter probes each input's VOQ occupancy once per output, in one
-//! sequential pass per input, into `u64` request bitsets, and runs every
-//! grant, accept and maximal-matching pick as a masked first-set-bit search
-//! over those words (see [`crate::CrossbarArbiter`]). An iSLIP iteration
-//! costs `O(N·⌈N/64⌉)` word operations, which leaves the `N²` occupancy
-//! probes, made once per slot, the one quadratic term of the arbitration.
+//! Within a slot the matching itself is word-parallel (see
+//! [`crate::CrossbarArbiter`]); what stays quadratic is probing every
+//! input's VOQ occupancy once per output, because a slot's request matrix
+//! is only known from the buffers' state at that slot.
 //!
 //! [`VoqSwitch::run_reference`] is the skip-free per-slot reference; the
 //! differential tests pin the two paths bit-identical.
