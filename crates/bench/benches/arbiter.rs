@@ -3,8 +3,10 @@
 //! the buffers it schedules.
 //!
 //! Each sample schedules a fixed cycle of pseudo-random request matrices with
-//! every output ready. As in `VoqSwitch`, the eligibility probe reads a
-//! per-input array of VOQ occupancy counts (`requestable_cells > 0`).
+//! every output ready. The `RequestMatrix` of each slot is built from a
+//! per-input array of VOQ occupancy counts (`requestable_cells > 0`) before
+//! timing starts: `VoqSwitch` keeps its matrix current as cells move, so a
+//! slot's arbitration reads the matrix without probing the buffers.
 //!
 //! * `arbiter_schedule/{islip,maximal}/{8,32,72}` — ~30% of the pairs
 //!   request, the density measured in the perfbench workloads' request
@@ -18,14 +20,15 @@
 //! perfbench traced run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fabric::{ArbiterKind, CrossbarArbiter};
+use fabric::{ArbiterKind, CrossbarArbiter, RequestMatrix};
 
 /// Slots (distinct request matrices) scheduled per sample.
 const SLOTS: usize = 64;
 
-/// `SLOTS` matrices of per-input VOQ occupancy rows from a fixed-seed
-/// SplitMix64 stream: about `percent`% of the counts are non-zero.
-fn occupancy_matrices(ports: usize, percent: u64) -> Vec<Vec<Vec<u64>>> {
+/// `SLOTS` request matrices over per-input VOQ occupancy rows from a
+/// fixed-seed SplitMix64 stream: about `percent`% of the counts are
+/// non-zero.
+fn request_matrices(ports: usize, percent: u64) -> Vec<RequestMatrix> {
     let mut state = 0x5EED_0A2B_u64;
     let mut next = move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -36,7 +39,7 @@ fn occupancy_matrices(ports: usize, percent: u64) -> Vec<Vec<Vec<u64>>> {
     };
     (0..SLOTS)
         .map(|_| {
-            (0..ports)
+            let occupancy: Vec<Vec<u64>> = (0..ports)
                 .map(|_| {
                     (0..ports)
                         .map(|_| {
@@ -49,7 +52,10 @@ fn occupancy_matrices(ports: usize, percent: u64) -> Vec<Vec<Vec<u64>>> {
                         })
                         .collect()
                 })
-                .collect()
+                .collect();
+            let mut requests = RequestMatrix::new(ports);
+            requests.fill(|i, j| occupancy[i][j] > 0);
+            requests
         })
         .collect()
 }
@@ -69,7 +75,7 @@ fn bench_density(c: &mut Criterion, group_name: &str, percent: u64) {
         ("maximal", ArbiterKind::Maximal),
     ] {
         for ports in [8usize, 32, 72] {
-            let matrices = occupancy_matrices(ports, percent);
+            let matrices = request_matrices(ports, percent);
             let ready = vec![true; ports];
             let mut arbiter = CrossbarArbiter::new(kind, ports);
             let mut match_in = vec![None; ports];
@@ -77,10 +83,10 @@ fn bench_density(c: &mut Criterion, group_name: &str, percent: u64) {
             group.bench_with_input(BenchmarkId::new(name, ports), &ports, |b, _| {
                 b.iter(|| {
                     let mut matched = 0;
-                    for (slot, occupancy) in matrices.iter().enumerate() {
+                    for (slot, requests) in matrices.iter().enumerate() {
                         matched += arbiter.schedule(
                             slot as u64,
-                            |i, j| occupancy[i][j] > 0,
+                            requests,
                             &ready,
                             &mut match_in,
                             &mut match_out,

@@ -277,20 +277,19 @@ impl CfdsBuffer {
         }
     }
 
+    /// Submits one tail batch for writeback; returns its queue, whose cells
+    /// are requestable from now on, if a batch was submitted.
     #[inline]
-    fn submit_writeback(&mut self, now: u64) {
+    fn submit_writeback(&mut self, now: u64) -> Option<LogicalQueueId> {
         let b = self.cfg.granularity;
         // The arena tracks threshold crossings: when no queue holds a full
         // batch the MMA cannot select anything — skip the scan outright.
         if !self.tail.any_eligible() {
-            return;
+            return None;
         }
-        let Some(queue) = self
+        let queue = self
             .tail_mma
-            .select_masked(self.tail.occupancies(), self.tail.eligible_words())
-        else {
-            return;
-        };
+            .select_masked(self.tail.occupancies(), self.tail.eligible_words())?;
         // Keep the write stream of this queue out of the group its read
         // stream is draining: one group sustains only one access per b slots,
         // which a backlogged queue needs for each direction.
@@ -325,7 +324,7 @@ impl CfdsBuffer {
                     Ok(p) => p,
                     Err(_) => {
                         self.stats.blocked_writebacks += 1;
-                        return;
+                        return None;
                     }
                 }
             }
@@ -341,6 +340,7 @@ impl CfdsBuffer {
             .insert(physical.index(), request.block_ordinal, cells);
         self.available[qi] += b as u64;
         self.available_total += b as u64;
+        Some(queue)
     }
 
     #[inline]
@@ -483,7 +483,7 @@ impl PacketBuffer for CfdsBuffer {
         // 4. Every b slots: MMA decisions and DSS issue opportunities.
         if self.until_period == 0 {
             self.until_period = self.cfg.granularity as u64;
-            self.submit_writeback(now);
+            outcome.newly_requestable = self.submit_writeback(now);
             self.submit_replenishment(now);
             self.issue_opportunities(now);
         }

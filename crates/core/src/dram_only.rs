@@ -83,6 +83,7 @@ impl PacketBuffer for DramOnlyBuffer {
                 let q = cell.queue().as_usize();
                 self.available[q] += 1;
                 self.available_total += 1;
+                outcome.newly_requestable = Some(cell.queue());
                 self.queues[q].push_back(cell);
                 self.write_busy_until = t + self.cfg.granularity as u64;
                 self.stats.dram_writes += 1;

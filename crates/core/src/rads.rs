@@ -183,8 +183,10 @@ impl RadsBuffer {
         }
     }
 
+    /// One granularity period's DRAM accesses; returns the queue whose
+    /// writeback made cells requestable, if any.
     #[inline]
-    fn dram_period_ops(&mut self, now: u64) {
+    fn dram_period_ops(&mut self, now: u64) -> Option<LogicalQueueId> {
         let b = self.cfg.granularity;
         // Writeback: tail SRAM → DRAM (occupancies are maintained by the
         // arena — nothing to collect). The arena tracks threshold crossings,
@@ -232,6 +234,7 @@ impl RadsBuffer {
                 }
             }
         }
+        writeback
     }
 }
 
@@ -277,7 +280,7 @@ impl PacketBuffer for RadsBuffer {
         // 4. Every B slots the DRAM performs one write and one read access.
         if self.until_period == 0 {
             self.until_period = self.cfg.granularity as u64;
-            self.dram_period_ops(now);
+            outcome.newly_requestable = self.dram_period_ops(now);
         }
         self.until_period -= 1;
 

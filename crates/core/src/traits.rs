@@ -13,6 +13,10 @@ pub struct SlotOutcome {
     pub miss: Option<LogicalQueueId>,
     /// An arriving cell was dropped because the tail SRAM was full.
     pub dropped_arrival: Option<Cell>,
+    /// The queue whose [`PacketBuffer::requestable_cells`] count rose this
+    /// slot (cells were committed to its head path), if any — see the
+    /// contract on [`PacketBuffer::step`].
+    pub newly_requestable: Option<LogicalQueueId>,
 }
 
 impl SlotOutcome {
@@ -129,6 +133,14 @@ impl BatchReport {
 /// queue can absorb; well-behaved workloads consult it.
 pub trait PacketBuffer {
     /// Advances the buffer by one slot.
+    ///
+    /// Within a `step`, [`PacketBuffer::requestable_cells`] changes in only
+    /// two ways: the accepted `request`'s queue falls by one, and at most
+    /// one queue rises — by the cells a writeback commits to its head path.
+    /// [`SlotOutcome::newly_requestable`] names that queue (and is `None`
+    /// when no count rose, discounting the request's fall), so a caller that
+    /// tracks which queues are requestable needs to probe only the requested
+    /// queue after the step — never all of them.
     fn step(&mut self, arrival: Option<Cell>, request: Option<LogicalQueueId>) -> SlotOutcome;
 
     /// The current slot (number of `step` calls performed).

@@ -16,19 +16,21 @@
 //!   without iSLIP's desynchronisation argument.
 //!
 //! Both algorithms are deterministic functions of their pointer state and the
-//! eligibility matrix, which is what makes whole-fabric runs reproducible.
+//! request matrix, which is what makes whole-fabric runs reproducible.
 //! On a **contention-free** matrix — every input has traffic for at most one
 //! output and every output is wanted by at most one input — both produce the
 //! same (complete) matching; the unit tests pin that equivalence.
 //!
 //! # Word-parallel matching
 //!
-//! Each slot the eligibility oracle is probed once per `(input, output)`
-//! pair into bitsets of `⌈N/64⌉` `u64` words: a row per input (the outputs
-//! it requests) and, for iSLIP, a column per output (the inputs requesting
-//! it), beside masks of the free inputs and the free, egress-ready outputs.
-//! Every choice the algorithms make — an output's grant, an input's accept,
-//! a maximal-matching input's pick — is "the first set bit at or cyclically
+//! The arbiter matches on a [`RequestMatrix`]: bitsets of `⌈N/64⌉` `u64`
+//! words, a row per input (the outputs it requests) and a column per output
+//! (the inputs requesting it), beside its own masks of the free inputs and
+//! the free, egress-ready outputs. The matrix belongs to the caller, who
+//! keeps it current as cells move (see [`crate::VoqSwitch`]), so a slot's
+//! matching reads the request state without probing it. Every choice the
+//! algorithms make — an output's grant, an input's accept, a
+//! maximal-matching input's pick — is "the first set bit at or cyclically
 //! after a round-robin pointer" of one such bitset ANDed with a free mask:
 //! `trailing_zeros` on the pointer's word with the bits below the pointer
 //! masked off, then the words above it, then the words below it, then the
@@ -75,12 +77,78 @@ impl ArbiterKind {
 /// Bits per bitset word.
 const WORD: usize = u64::BITS as usize;
 
-/// The crossbar scheduler: pointer state plus bitset scratch, sized once per
-/// fabric.
+/// Which inputs hold a requestable cell for which outputs: the crossbar's
+/// request matrix, kept as bitsets in both orientations.
 ///
 /// A bitset over `ports` ports is `⌈ports/64⌉` consecutive `u64` words, bit
 /// `p % 64` of word `p / 64` standing for port `p`; bits at or above `ports`
-/// are always clear.
+/// are always clear. [`RequestMatrix::set`] and [`RequestMatrix::clear`]
+/// update one `(input, output)` pair in O(1), so a fabric whose request
+/// state changes in a few places per slot never rebuilds the whole matrix.
+#[derive(Debug, PartialEq, Eq)]
+pub struct RequestMatrix {
+    ports: usize,
+    /// Words per bitset: `⌈ports/64⌉`.
+    words: usize,
+    /// `ports × words`: row `i` is the set of outputs input `i` requests —
+    /// what the maximal matcher walks.
+    rows: Vec<u64>,
+    /// `ports × words`: row `j` is the set of inputs requesting output `j`,
+    /// the transpose of `rows` — what iSLIP's grant step scans.
+    cols: Vec<u64>,
+}
+
+impl RequestMatrix {
+    /// An empty request matrix over `ports` inputs and outputs.
+    pub fn new(ports: usize) -> Self {
+        let words = ports.div_ceil(WORD);
+        RequestMatrix {
+            ports,
+            words,
+            rows: vec![0; ports * words],
+            cols: vec![0; ports * words],
+        }
+    }
+
+    /// Rebuilds the whole matrix from `requests(input, output)`, probed
+    /// once per pair.
+    pub fn fill(&mut self, requests: impl Fn(usize, usize) -> bool) {
+        self.rows.fill(0);
+        self.cols.fill(0);
+        for i in 0..self.ports {
+            for j in 0..self.ports {
+                if requests(i, j) {
+                    self.set(i, j);
+                }
+            }
+        }
+    }
+
+    /// Marks that `input` requests `output`.
+    #[inline]
+    pub fn set(&mut self, input: usize, output: usize) {
+        debug_assert!(input < self.ports && output < self.ports);
+        self.rows[input * self.words + output / WORD] |= 1u64 << (output % WORD);
+        self.cols[output * self.words + input / WORD] |= 1u64 << (input % WORD);
+    }
+
+    /// Marks that `input` no longer requests `output`.
+    #[inline]
+    pub fn clear(&mut self, input: usize, output: usize) {
+        debug_assert!(input < self.ports && output < self.ports);
+        self.rows[input * self.words + output / WORD] &= !(1u64 << (output % WORD));
+        self.cols[output * self.words + input / WORD] &= !(1u64 << (input % WORD));
+    }
+
+    /// Whether `input` requests `output`.
+    #[inline]
+    pub fn contains(&self, input: usize, output: usize) -> bool {
+        self.rows[input * self.words + output / WORD] & (1u64 << (output % WORD)) != 0
+    }
+}
+
+/// The crossbar scheduler: pointer state plus bitset scratch, sized once per
+/// fabric; it reads each slot's requests from a [`RequestMatrix`].
 #[derive(Debug)]
 pub struct CrossbarArbiter {
     kind: ArbiterKind,
@@ -92,13 +160,6 @@ pub struct CrossbarArbiter {
     grant_ptr: Vec<u32>,
     /// Per-input round-robin accept pointer (iSLIP) / scan pointer (maximal).
     accept_ptr: Vec<u32>,
-    /// Scratch, `ports × words`: row `i` is the set of outputs input `i` has
-    /// a requestable cell for this slot.
-    rows: Vec<u64>,
-    /// Scratch, `ports × words`: row `j` is the set of inputs requesting
-    /// output `j` — the transpose of `rows`, which iSLIP's grant step scans.
-    /// Empty for the maximal matcher, which only walks inputs.
-    cols: Vec<u64>,
     /// Scratch, `ports × words`: row `i` is the set of outputs that granted
     /// input `i` in the current iSLIP iteration. Cleared once per slot: the
     /// rows written in earlier iterations belong to matched inputs, which
@@ -118,10 +179,6 @@ impl CrossbarArbiter {
     /// Creates an arbiter for a fabric of `ports` input and output ports.
     pub fn new(kind: ArbiterKind, ports: usize) -> Self {
         let words = ports.div_ceil(WORD);
-        let cols = match kind {
-            ArbiterKind::Islip { .. } => vec![0; ports * words],
-            ArbiterKind::Maximal => Vec::new(),
-        };
         CrossbarArbiter {
             kind,
             ports,
@@ -129,8 +186,6 @@ impl CrossbarArbiter {
             words,
             grant_ptr: vec![0; ports],
             accept_ptr: vec![0; ports],
-            rows: vec![0; ports * words],
-            cols,
             grants: vec![0; ports * words],
             granted_inputs: vec![0; words],
             free_in: vec![0; words],
@@ -145,94 +200,54 @@ impl CrossbarArbiter {
 
     /// Computes the matching of slot `slot`.
     ///
-    /// `eligible(i, j)` reports whether input `i` has a requestable cell for
-    /// output `j`; `output_ready[j]` whether output `j` has an egress credit
+    /// `requests` says which inputs hold a requestable cell for which
+    /// outputs; `output_ready[j]` whether output `j` has an egress credit
     /// this slot. The matching lands in `match_in` (per input: the matched
     /// output) and `match_out` (per output: the matched input); both are
     /// cleared first. Returns the number of matched pairs.
-    ///
-    /// `eligible` must be a pure function of the slot's buffer state: it is
-    /// evaluated exactly once per `(i, j)` pair, row by row, up front — one
-    /// sequential pass over each input's occupancy counters — into a request
-    /// bitset per input, and (for iSLIP) its transpose, a bitset of
-    /// requesting inputs per output. Every grant, accept and maximal-matching
-    /// choice is then a cyclic first-set-bit search over one of those
-    /// bitsets masked with the free inputs or outputs, so an iSLIP iteration
-    /// or the maximal pass costs `O(N·⌈N/64⌉)` word operations rather than
-    /// `O(N²)` pair probes.
     ///
     /// A call that matches nothing leaves the arbiter bit-identical — iSLIP
     /// pointers move only on accepts, and the maximal matcher's rotating
     /// priority is derived from `slot` rather than stored — which is what
     /// lets the fabric's idle fast-forward skip provably matchless slots
     /// without observing them.
-    pub fn schedule<F>(
+    pub fn schedule(
         &mut self,
         slot: u64,
-        eligible: F,
+        requests: &RequestMatrix,
         output_ready: &[bool],
         match_in: &mut [Option<u32>],
         match_out: &mut [Option<u32>],
-    ) -> u64
-    where
-        F: Fn(usize, usize) -> bool,
-    {
+    ) -> u64 {
+        debug_assert_eq!(requests.ports, self.ports);
         debug_assert_eq!(match_in.len(), self.ports);
         debug_assert_eq!(match_out.len(), self.ports);
         debug_assert_eq!(output_ready.len(), self.ports);
         match_in.fill(None);
         match_out.fill(None);
-        self.load(eligible, output_ready);
+        self.free_out.fill(0);
+        for (j, &ready) in output_ready.iter().enumerate() {
+            self.free_out[j / WORD] |= u64::from(ready) << (j % WORD);
+        }
         match self.kind {
-            ArbiterKind::Islip { .. } => self.islip(match_in, match_out),
-            ArbiterKind::Maximal => self.maximal(slot, match_in, match_out),
+            ArbiterKind::Islip { .. } => self.islip(&requests.cols, match_in, match_out),
+            ArbiterKind::Maximal => self.maximal(slot, &requests.rows, match_in, match_out),
         }
     }
 
-    /// Snapshots the slot's request matrix and ready outputs into the
-    /// bitset scratch; for iSLIP also the transpose, and every input starts
-    /// free.
-    fn load<F>(&mut self, eligible: F, output_ready: &[bool])
-    where
-        F: Fn(usize, usize) -> bool,
-    {
-        let (n, words) = (self.ports, self.words);
-        for (i, row) in self.rows.chunks_exact_mut(words).enumerate() {
-            for (w, word) in row.iter_mut().enumerate() {
-                *word = pack(w, n, |j| eligible(i, j));
-            }
-        }
-        for (w, word) in self.free_out.iter_mut().enumerate() {
-            *word = pack(w, n, |j| output_ready[j]);
-        }
-        if self.kind == ArbiterKind::Maximal {
-            return;
-        }
-        for (w, word) in self.free_in.iter_mut().enumerate() {
-            *word = pack(w, n, |_| true);
-        }
-        self.cols.fill(0);
-        for (i, row) in self.rows.chunks_exact(words).enumerate() {
-            let (in_word, in_bit) = (i / WORD, 1u64 << (i % WORD));
-            for (w, &word) in row.iter().enumerate() {
-                let mut outs = word;
-                while outs != 0 {
-                    let j = w * WORD + outs.trailing_zeros() as usize;
-                    outs &= outs - 1;
-                    self.cols[j * words + in_word] |= in_bit;
-                }
-            }
-        }
-    }
-
-    fn islip(&mut self, match_in: &mut [Option<u32>], match_out: &mut [Option<u32>]) -> u64 {
+    /// The iSLIP iterations over `cols`, the requesting inputs per output.
+    fn islip(
+        &mut self,
+        cols: &[u64],
+        match_in: &mut [Option<u32>],
+        match_out: &mut [Option<u32>],
+    ) -> u64 {
         let Self {
             ports: n,
             iterations,
             words,
             grant_ptr,
             accept_ptr,
-            cols,
             grants,
             granted_inputs,
             free_in,
@@ -241,6 +256,10 @@ impl CrossbarArbiter {
         } = self;
         let (n, words) = (*n, *words);
         let mut matched = 0u64;
+        // Every input starts free; bits at or above `n` stay clear.
+        for (w, word) in free_in.iter_mut().enumerate() {
+            *word = u64::MAX >> (WORD - (n - w * WORD).min(WORD));
+        }
         // Cleared once per slot, not per iteration: an input that receives a
         // grant always accepts one, so a row written in one iteration belongs
         // to an input that is matched, and never read again, by the next.
@@ -293,9 +312,12 @@ impl CrossbarArbiter {
         matched
     }
 
+    /// The rotating-priority maximal pass over `rows`, the requested
+    /// outputs per input.
     fn maximal(
         &mut self,
         slot: u64,
+        rows: &[u64],
         match_in: &mut [Option<u32>],
         match_out: &mut [Option<u32>],
     ) -> u64 {
@@ -303,7 +325,6 @@ impl CrossbarArbiter {
             ports: n,
             words,
             accept_ptr,
-            rows,
             free_out,
             ..
         } = self;
@@ -324,17 +345,6 @@ impl CrossbarArbiter {
         }
         matched
     }
-}
-
-/// Word `w` of the bitset over `ports` ports whose bit `p` is `bit(p)`.
-#[inline]
-fn pack(w: usize, ports: usize, bit: impl Fn(usize) -> bool) -> u64 {
-    let base = w * WORD;
-    let mut word = 0u64;
-    for b in 0..(ports - base).min(WORD) {
-        word |= u64::from(bit(base + b)) << b;
-    }
-    word
 }
 
 /// Port `p + 1`, wrapping to 0 at `ports` (a compare, not a division).
@@ -375,19 +385,44 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn matrix(n: usize, requests: impl Fn(usize, usize) -> bool) -> RequestMatrix {
+        let mut m = RequestMatrix::new(n);
+        m.fill(requests);
+        m
+    }
+
     fn run_matching(kind: ArbiterKind, n: usize, demand: &[Vec<bool>]) -> Vec<Option<u32>> {
         let mut arb = CrossbarArbiter::new(kind, n);
         let ready = vec![true; n];
         let mut match_in = vec![None; n];
         let mut match_out = vec![None; n];
-        arb.schedule(
-            0,
-            |i, j| demand[i][j],
-            &ready,
-            &mut match_in,
-            &mut match_out,
-        );
+        let requests = matrix(n, |i, j| demand[i][j]);
+        arb.schedule(0, &requests, &ready, &mut match_in, &mut match_out);
         match_in
+    }
+
+    /// Pair-wise `set`/`clear` keep the rows and their transpose in step:
+    /// after any sequence of updates the matrix equals one rebuilt from
+    /// scratch, across word boundaries.
+    #[test]
+    fn set_and_clear_agree_with_a_full_fill() {
+        let mut rng = StdRng::seed_from_u64(20_261_018);
+        for n in [2usize, 8, 63, 64, 65, 130] {
+            let mut truth = vec![false; n * n];
+            let mut m = RequestMatrix::new(n);
+            for _ in 0..4 * n {
+                let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let on = rng.gen_bool(0.5);
+                truth[i * n + j] = on;
+                if on {
+                    m.set(i, j);
+                } else {
+                    m.clear(i, j);
+                }
+                assert_eq!(m.contains(i, j), on);
+            }
+            assert_eq!(m, matrix(n, |i, j| truth[i * n + j]), "{n} ports");
+        }
     }
 
     #[test]
@@ -436,8 +471,9 @@ mod tests {
         let mut match_in = vec![None; n];
         let mut match_out = vec![None; n];
         let mut matched_per_slot = Vec::new();
+        let full = matrix(n, |_, _| true);
         for slot in 0..(4 * n as u64) {
-            let matched = arb.schedule(slot, |_, _| true, &ready, &mut match_in, &mut match_out);
+            let matched = arb.schedule(slot, &full, &ready, &mut match_in, &mut match_out);
             matched_per_slot.push(matched);
         }
         assert!(
@@ -457,7 +493,8 @@ mod tests {
         let mut arb = CrossbarArbiter::new(ArbiterKind::Islip { iterations: 0 }, n);
         let mut match_in = vec![None; n];
         let mut match_out = vec![None; n];
-        let matched = arb.schedule(0, |_, _| true, &[false; 4], &mut match_in, &mut match_out);
+        let full = matrix(n, |_, _| true);
+        let matched = arb.schedule(0, &full, &[false; 4], &mut match_in, &mut match_out);
         assert_eq!(matched, 0);
         assert!(match_in.iter().all(Option::is_none));
     }
@@ -490,16 +527,12 @@ mod tests {
                 let ready = vec![true; n];
                 let mut match_in = vec![None; n];
                 let mut match_out = vec![None; n];
+                let full = matrix(n, |_, _| true);
                 for slot in 0..u64::from(rng.gen_range(0..5u32)) {
-                    arb.schedule(slot, |_, _| true, &ready, &mut match_in, &mut match_out);
+                    arb.schedule(slot, &full, &ready, &mut match_in, &mut match_out);
                 }
-                arb.schedule(
-                    7,
-                    |i, j| demand[i][j],
-                    &ready,
-                    &mut match_in,
-                    &mut match_out,
-                );
+                let requests = matrix(n, |i, j| demand[i][j]);
+                arb.schedule(7, &requests, &ready, &mut match_in, &mut match_out);
                 assert_eq!(
                     match_in, expected,
                     "{kind:?} must match every contention-free demand"
@@ -672,11 +705,12 @@ mod tests {
                 let mut slot = rng.gen_range(0..1_000u64);
                 for step in 0..48 {
                     let density = [0.02, 0.3, 0.7, 0.95, 1.0][rng.gen_range(0..5usize)];
-                    let matrix: Vec<bool> = (0..n * n).map(|_| rng.gen_bool(density)).collect();
+                    let demand: Vec<bool> = (0..n * n).map(|_| rng.gen_bool(density)).collect();
                     let ready_p = [0.0, 0.5, 0.9, 1.0][rng.gen_range(0..4usize)];
                     let ready: Vec<bool> = (0..n).map(|_| rng.gen_bool(ready_p)).collect();
-                    let eligible = |i: usize, j: usize| matrix[i * n + j];
-                    let got = arb.schedule(slot, eligible, &ready, &mut got_in, &mut got_out);
+                    let eligible = |i: usize, j: usize| demand[i * n + j];
+                    let requests = matrix(n, eligible);
+                    let got = arb.schedule(slot, &requests, &ready, &mut got_in, &mut got_out);
                     let want =
                         oracle.schedule(kind, slot, eligible, &ready, &mut want_in, &mut want_out);
                     let at = format!("{kind:?}, {n} ports, step {step}");

@@ -17,7 +17,8 @@
 //!   chunked arrival generation and an idle fast-forward.
 //! * [`CrossbarArbiter`] — iSLIP-style iterative matching
 //!   ([`ArbiterKind::Islip`]) and a greedy maximal-matching baseline
-//!   ([`ArbiterKind::Maximal`]).
+//!   ([`ArbiterKind::Maximal`]) over a [`RequestMatrix`] that the switch
+//!   keeps current as cells move.
 //! * [`EgressPort`] — credit-throttled output lines with end-to-end latency
 //!   accounting.
 //! * [`FabricRunReport`] — per-port, per-output and traffic-matrix-level
@@ -78,7 +79,7 @@ mod report;
 mod switch;
 pub mod transport;
 
-pub use arbiter::{ArbiterKind, CrossbarArbiter};
+pub use arbiter::{ArbiterKind, CrossbarArbiter, RequestMatrix};
 pub use clos::{
     ClosConfig, ClosFabric, ClosObsReport, ClosRunReport, ClosStage, ClosStageObsReport,
     ClosStageReport, DispatchPolicy, SeriesReport, TraceReport,

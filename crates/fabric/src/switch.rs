@@ -24,15 +24,23 @@
 //!   port (the arbiter is unobservable on matchless slots by construction);
 //! * the drain tail terminates through the same quiescence probes.
 //!
-//! Within a slot the matching itself is word-parallel (see
-//! [`crate::CrossbarArbiter`]); what stays quadratic is probing every
-//! input's VOQ occupancy once per output, because a slot's request matrix
-//! is only known from the buffers' state at that slot.
+//! # The request matrix
+//!
+//! The switch keeps the arbiter's [`crate::RequestMatrix`] — which VOQs
+//! hold a requestable cell — current as cells move instead of probing all
+//! `N²` VOQs every slot. A VOQ's requestable count falls only when the
+//! arbiter's request is accepted, and rises only when its buffer's `step`
+//! commits cells to the head path, which the step reports as
+//! [`pktbuf::SlotOutcome::newly_requestable`]. So after each port's step
+//! the switch sets that VOQ's bit and re-probes only the VOQ it matched:
+//! `O(N)` probes per slot. The matrix is rebuilt by a full probe only at
+//! construction and after an idle fast-forward; debug builds check it
+//! against a full probe every slot.
 //!
 //! [`VoqSwitch::run_reference`] is the skip-free per-slot reference; the
 //! differential tests pin the two paths bit-identical.
 
-use crate::arbiter::{ArbiterKind, CrossbarArbiter};
+use crate::arbiter::{ArbiterKind, CrossbarArbiter, RequestMatrix};
 use crate::egress::EgressPort;
 use crate::report::{EgressReport, FabricRunReport, PortReport};
 use pktbuf::PacketBuffer;
@@ -106,6 +114,9 @@ pub struct VoqSwitch<B: PacketBuffer> {
     ports: usize,
     buffers: Vec<B>,
     arbiter: CrossbarArbiter,
+    /// Which VOQs hold a requestable cell: bit `(i, j)` is set exactly when
+    /// `buffers[i].requestable_cells(j) > 0`, kept current slot by slot.
+    requests: RequestMatrix,
     egress: Vec<EgressPort>,
     clock: u64,
     matches: u64,
@@ -139,9 +150,12 @@ impl<B: PacketBuffer> VoqSwitch<B> {
                 "ingress buffer {i} must hold one VOQ per egress port"
             );
         }
+        let mut requests = RequestMatrix::new(ports);
+        requests.fill(|i, j| voq_requestable(&buffers[i], j));
         VoqSwitch {
             ports,
             arbiter: CrossbarArbiter::new(config.arbiter, ports),
+            requests,
             egress: (0..ports)
                 .map(|_| EgressPort::new(config.egress_period))
                 .collect(),
@@ -300,23 +314,18 @@ impl<B: PacketBuffer> VoqSwitch<B> {
             egress.begin_slot(clock);
             *ready = egress.ready() && (ungated || output_gate[j]);
         }
-        let matched = {
-            let Self {
-                buffers,
-                arbiter,
-                match_in,
-                match_out,
-                output_ready,
-                ..
-            } = self;
-            arbiter.schedule(
-                clock,
-                |i, j| buffers[i].requestable_cells(LogicalQueueId::new(j as u32)) > 0,
-                output_ready,
-                match_in,
-                match_out,
-            )
-        };
+        debug_assert_eq!(
+            self.stale_request(),
+            None,
+            "slot {clock}: request matrix bit (input, VOQ) disagrees with a full probe"
+        );
+        let matched = self.arbiter.schedule(
+            clock,
+            &self.requests,
+            &self.output_ready,
+            &mut self.match_in,
+            &mut self.match_out,
+        );
         self.matches += matched;
         for (i, arrival_slot) in arrivals.iter_mut().enumerate() {
             let request = self.match_in[i].map(LogicalQueueId::new);
@@ -329,6 +338,14 @@ impl<B: PacketBuffer> VoqSwitch<B> {
                 self.arrivals_total += 1;
             }
             let outcome = self.buffers[i].step(arrival, request);
+            if let Some(queue) = outcome.newly_requestable {
+                self.requests.set(i, queue.as_usize());
+            }
+            if let Some(j) = self.match_in[i] {
+                if !voq_requestable(&self.buffers[i], j as usize) {
+                    self.requests.clear(i, j as usize);
+                }
+            }
             if let Some(cell) = outcome.granted {
                 let dst = cell.queue().as_usize();
                 self.departures_matrix[i * ports + dst] += 1;
@@ -446,6 +463,17 @@ impl<B: PacketBuffer> VoqSwitch<B> {
             egress.advance_idle(clock, slots);
         }
         self.clock += slots;
+        let buffers = &self.buffers;
+        self.requests.fill(|i, j| voq_requestable(&buffers[i], j));
+    }
+
+    /// The first `(input, VOQ)` whose request-matrix bit disagrees with a
+    /// full probe of the buffers, if any (the debug cross-check of the
+    /// incremental upkeep).
+    fn stale_request(&self) -> Option<(usize, usize)> {
+        (0..self.ports)
+            .flat_map(|i| (0..self.ports).map(move |j| (i, j)))
+            .find(|&(i, j)| self.requests.contains(i, j) != voq_requestable(&self.buffers[i], j))
     }
 
     /// Drains the fabric after the active phase: keeps matching while any
@@ -578,6 +606,13 @@ impl<B: PacketBuffer> VoqSwitch<B> {
             departures_matrix: self.departures_matrix.clone(),
         }
     }
+}
+
+/// Whether ingress buffer `buffer`'s VOQ `voq` holds a cell the arbiter
+/// may request.
+#[inline]
+fn voq_requestable<B: PacketBuffer>(buffer: &B, voq: usize) -> bool {
+    buffer.requestable_cells(LogicalQueueId::new(voq as u32)) > 0
 }
 
 #[cfg(test)]

@@ -39,9 +39,12 @@
 //! * A 4-port CFDS fabric under the bursty workload at ≥ 85% load sees
 //!   mean bursts (32 cells) that are 8× its VOQ count; the resulting DRAM
 //!   scheduler delay spikes exceed the latency register's compensation and
-//!   occasional misses surface. Larger fabrics dilute a burst across more
-//!   groups and do not exhibit this (see ROADMAP: fabric-aware latency
-//!   register sizing).
+//!   occasional misses surface; renaming can also block writebacks until
+//!   the tail SRAM overflows and drops arrivals. The unit test
+//!   `small_cfds_fabric_loses_cells_under_bursty_high_load` pins both on
+//!   [`FabricScenario::small`] (seed 1: misses at 95%, drops at 85%).
+//!   Larger fabrics dilute a burst across more groups and do not exhibit
+//!   this (see ROADMAP: fabric-aware latency register sizing).
 
 use crate::lab::{run_sharded, LabRunner};
 use crate::scenario::{int, normalize_name, serde_via_string, DesignKind, ParseNameError};
@@ -1081,6 +1084,38 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The documented boundary of the zero-loss envelope, pinned: a 4-port
+    /// CFDS fabric under bursty traffic at ≥ 85% load loses cells. At 95%
+    /// a DRAM scheduler delay spike outruns the latency register (misses,
+    /// no drops); at 85% renaming blocks writebacks until the tail SRAM
+    /// overflows (drops). Both stay accounted: cell conservation holds.
+    #[test]
+    fn small_cfds_fabric_loses_cells_under_bursty_high_load() {
+        let run = |load_percent| {
+            FabricScenario {
+                workload: FabricWorkload::Bursty,
+                load_percent,
+                ..FabricScenario::small()
+            }
+            .run()
+        };
+        let total = |report: &FabricRunReport, field: fn(&pktbuf::BufferStats) -> u64| {
+            report.per_port.iter().map(|p| field(&p.stats)).sum::<u64>()
+        };
+        let spike = run(95);
+        assert!(total(&spike, |s| s.misses) > 0, "95%: {spike:?}");
+        assert_eq!(total(&spike, |s| s.drops), 0, "95%: {spike:?}");
+        let overflow = run(85);
+        assert!(total(&overflow, |s| s.drops) > 0, "85%: {overflow:?}");
+        assert!(
+            total(&overflow, |s| s.blocked_writebacks) > 0,
+            "85%: {overflow:?}"
+        );
+        for report in [&spike, &overflow] {
+            assert!(!report.zero_loss && report.conservation_holds());
         }
     }
 

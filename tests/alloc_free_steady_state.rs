@@ -10,11 +10,11 @@
 //! phase during which the allocation counter must not move. The workload
 //! mixes live arrivals with a round-robin drain so every subsystem — tail
 //! arena, writeback, DRAM scheduler, head SRAM, grants — stays active while
-//! counting. The crossbar arbiter that couples a fabric's ports is held to
-//! the same bar: a warmed-up `CrossbarArbiter::schedule` loop must not
-//! allocate either.
+//! counting. The fabric that couples the ports is held to the same bar: a
+//! warmed-up `VoqSwitch` slot loop — arbitration, the upkeep of its request
+//! matrix, buffer steps and egress — must not allocate either.
 
-use fabric::{ArbiterKind, CrossbarArbiter};
+use fabric::{ArbiterKind, FabricConfig, NullSink, VoqSwitch};
 use pktbuf::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
 use pktbuf_model::{Cell, CfdsConfig, DramTiming, LineRate, LogicalQueueId, RadsConfig};
 use sim::SimulationEngine;
@@ -124,56 +124,66 @@ fn assert_steady_state_alloc_free(
     }
 }
 
-/// A fixed pseudo-random request matrix per slot at ~95% density, computed
-/// on the fly (SplitMix64 finaliser over `(slot, i, j)`) so the probe itself
-/// allocates nothing.
-fn dense_request(slot: u64, i: usize, j: usize) -> bool {
-    let mut z = slot
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(((i as u64) << 32) | j as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    !(z ^ (z >> 31)).is_multiple_of(20)
-}
-
-/// Drives a warmed-up crossbar arbiter of `ports` ports and asserts its
-/// `schedule` never allocates: every bitset and pointer is sized in `new`.
-fn assert_arbiter_alloc_free(kind: ArbiterKind, ports: usize) {
-    let mut arbiter = CrossbarArbiter::new(kind, ports);
-    let mut ready = vec![true; ports];
-    let mut match_in = vec![None; ports];
-    let mut match_out = vec![None; ports];
+/// Drives a warmed-up `ports`-port `VoqSwitch` of RADS buffers through its
+/// public slot entry point and asserts the slot loop never allocates.
+/// Input `i` receives a cell in 3 of every 5 slots, its destination
+/// rotating every 3 slots: a periodic pattern whose ring buffers reach
+/// their high-water marks within the warm-up, unlike a random walk of VOQ
+/// depths, which keeps setting new peaks (and growing a ring) long after
+/// any fixed warm-up.
+fn assert_switch_alloc_free(arbiter: ArbiterKind, ports: usize) {
+    let buffers = (0..ports)
+        .map(|_| {
+            RadsBuffer::new(RadsConfig {
+                line_rate: LineRate::Oc3072,
+                num_queues: ports,
+                granularity: 4,
+                lookahead: None,
+                dram: DramTiming::paper_design_point(),
+            })
+        })
+        .collect();
+    let config = FabricConfig {
+        ports,
+        egress_period: 1,
+        arbiter,
+    };
+    let mut switch = VoqSwitch::new(config, buffers);
+    let mut seqs = vec![0u64; ports * ports];
+    let mut arrivals: Vec<Option<Cell>> = vec![None; ports];
     let mut run = |slots: std::ops::Range<u64>| {
         let mut matched = 0;
         for slot in slots {
-            for (j, r) in ready.iter_mut().enumerate() {
-                *r = !(slot + j as u64).is_multiple_of(7);
+            for (i, arrival) in arrivals.iter_mut().enumerate() {
+                if (slot + i as u64) % 5 < 3 {
+                    let j = (i + slot as usize / 3) % ports;
+                    *arrival = Some(Cell::new(
+                        LogicalQueueId::new(j as u32),
+                        seqs[i * ports + j],
+                        slot,
+                    ));
+                    seqs[i * ports + j] += 1;
+                }
             }
-            matched += arbiter.schedule(
-                slot,
-                |i, j| dense_request(slot, i, j),
-                &ready,
-                &mut match_in,
-                &mut match_out,
-            );
+            matched += switch.step_coupled(&mut arrivals, &[], &mut NullSink);
         }
         matched
     };
-    run(0..200);
+    run(0..6_000);
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let matched = run(200..2_200);
+    let matched = run(6_000..8_000);
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 
     assert_eq!(
         after - before,
         0,
-        "{kind:?} arbiter at {ports} ports allocated {} times over 2000 slots",
+        "{arbiter:?} switch at {ports} ports allocated {} times over 2000 slots",
         after - before
     );
     assert!(
         matched > 0,
-        "{kind:?} arbiter at {ports} ports matched nothing"
+        "{arbiter:?} switch at {ports} ports matched nothing"
     );
 }
 
@@ -248,10 +258,10 @@ fn steady_state_slot_loop_is_allocation_free() {
     assert_eq!(report.design, "RADS");
     assert!(report.grant_log.is_none());
 
-    // The crossbar arbiter that couples a fabric's ports, on one bitset
-    // word (32 ports) and across a word boundary (72 ports).
+    // The switch that couples a fabric's ports, its request matrix on one
+    // bitset word (32 ports) and across a word boundary (72 ports).
     for ports in [32, 72] {
-        assert_arbiter_alloc_free(ArbiterKind::Islip { iterations: 0 }, ports);
-        assert_arbiter_alloc_free(ArbiterKind::Maximal, ports);
+        assert_switch_alloc_free(ArbiterKind::Islip { iterations: 0 }, ports);
+        assert_switch_alloc_free(ArbiterKind::Maximal, ports);
     }
 }
